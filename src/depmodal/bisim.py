@@ -3,14 +3,14 @@
 A bisimulation pairs worlds that agree on all propositions and on both
 generative families, and transfers along both relations in both directions
 (zig and zag for the epistemic and the nomic relation).  On finite models
-bisimilarity coincides with agreement on all formulas, which is exercised
-here two ways: a pair-deletion fixpoint computes the greatest bisimulation,
-and an independent partition-refinement search synthesizes a concrete
-distinguishing formula whenever one exists.
+bisimilarity coincides with agreement on all formulas, so one partition
+refinement (Kanellakis-Smolka) of the disjoint union of the two models
+answers every question: two worlds are bisimilar iff they share a stable
+cell, and the level at which two worlds split is the modal depth of the
+distinguishing formula synthesized from the refinement.
 
 Cross-model comparison requires a shared proposition signature: a pair of
-worlds from models declaring different proposition sets never satisfies the
-base conditions.
+worlds from models declaring different proposition sets is never bisimilar.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ class BisimRelation:
         return pair in self.pairs
 
 
-def _base_match(m: KripkeModel, m2: KripkeModel, s: str, s2: str) -> bool:
-    # proposition agreement presumes an identical declared signature
-    return (all(m.valuation[s][p] == m2.valuation[s2][p] for p in m.propositions)
-            and generative_sets(m, s, GLOBAL) == generative_sets(m2, s2, GLOBAL)
-            and generative_sets(m, s, LOCAL) == generative_sets(m2, s2, LOCAL))
+def _base_profile(m: KripkeModel, w: str, props: Iterable[str]) -> tuple:
+    """What a bisimulation must preserve at a single world: the values of
+    ``props`` and both generative families."""
+    return (tuple(m.valuation[w][p] for p in props),
+            generative_sets(m, w, GLOBAL), generative_sets(m, w, LOCAL))
 
 
 def _transfers(m: KripkeModel, m2: KripkeModel, pairs: set[Pair],
@@ -78,31 +78,19 @@ def check_bisimulation(m: KripkeModel, m2: KripkeModel,
         m2._world_index(s2)
     if set(m.propositions) != set(m2.propositions):
         return False
-    for s, s2 in pairs:
-        if not _base_match(m, m2, s, s2):
-            return False
-        if not _transfers(m, m2, pairs, s, s2):
-            return False
-    return True
+    props = m.propositions
+    return all(_base_profile(m, s, props) == _base_profile(m2, s2, props)
+               and _transfers(m, m2, pairs, s, s2) for s, s2 in pairs)
 
 
 def greatest_bisimulation(m: KripkeModel, m2: KripkeModel) -> BisimRelation:
-    """The largest bisimulation between the two models (possibly empty):
-    start from all pairs passing the base conditions, then delete pairs whose
-    zig or zag transfer fails until nothing changes."""
+    """The largest bisimulation between the two models (possibly empty): the
+    cross-model pairs that share a cell of the stable partition."""
     if set(m.propositions) != set(m2.propositions):
         return BisimRelation(frozenset())
-    pairs = {(s, s2)
-             for s in m.worlds for s2 in m2.worlds
-             if _base_match(m, m2, s, s2)}
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(pairs):
-            if not _transfers(m, m2, pairs, *pair):
-                pairs.discard(pair)
-                changed = True
-    return BisimRelation(frozenset(pairs))
+    stable = _Refiner(m, m2).levels[-1]
+    return BisimRelation(frozenset((s, s2) for s in m.worlds for s2 in m2.worlds
+                                   if stable[0, s] == stable[1, s2]))
 
 
 def are_bisimilar(pm: PointedModel, pm2: PointedModel) -> bool:
@@ -111,67 +99,60 @@ def are_bisimilar(pm: PointedModel, pm2: PointedModel) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Distinguishing formulas via partition refinement
+# Partition refinement and distinguishing formulas
 # ---------------------------------------------------------------------------
 
 Node = tuple[int, str]
 
 
+def _number(profiles: dict[Node, object]) -> dict[Node, int]:
+    """Cells of equal profile, numbered by first appearance in node order."""
+    ids: dict = {}
+    return {node: ids.setdefault(prof, len(ids)) for node, prof in profiles.items()}
+
+
 class _Refiner:
-    """Depth-stratified modal-equivalence partitions over the disjoint union
-    of two models, with formula synthesis for split pairs."""
+    """Modal-equivalence partitions of the disjoint union of two models, with
+    formula synthesis for split pairs.  Level 0 groups nodes by base profile;
+    ``levels[j]`` splits each cell of level j-1 by the cells its members'
+    epistemic and nomic classes reach.  The last level is stable, so its
+    cells are the bisimilarity classes."""
 
     def __init__(self, m: KripkeModel, m2: KripkeModel):
         self.models = (m, m2)
         self.shared_props = sorted(set(m.propositions) & set(m2.propositions))
         self.nodes: list[Node] = ([(0, w) for w in m.worlds]
                                   + [(1, w) for w in m2.worlds])
-        self.levels: list[dict[Node, int]] = [self._level0()]
-        self.stable = False
+        self.levels: list[dict[Node, int]] = [_number(
+            {node: _base_profile(self.model_of(node), node[1], self.shared_props)
+             for node in self.nodes})]
+        # numbering is canonical, so an unchanged partition compares equal
+        while (cells := self._refine(self.levels[-1])) != self.levels[-1]:
+            self.levels.append(cells)
 
     def model_of(self, node: Node) -> KripkeModel:
         return self.models[node[0]]
 
-    def _level0(self) -> dict[Node, int]:
-        profiles: dict[tuple, int] = {}
-        cells: dict[Node, int] = {}
-        for node in self.nodes:
-            mdl, w = self.model_of(node), node[1]
-            prof = (tuple(mdl.valuation[w][p] for p in self.shared_props),
-                    generative_sets(mdl, w, GLOBAL),
-                    generative_sets(mdl, w, LOCAL))
-            cells[node] = profiles.setdefault(prof, len(profiles))
-        return cells
+    def _class(self, node: Node, relation: str) -> frozenset[str]:
+        mdl, w = self.model_of(node), node[1]
+        return mdl.epistemic_class(w) if relation == "epi" else mdl.nomic_class(w)
 
     def _succ(self, node: Node, relation: str) -> list[Node]:
-        mdl, w = self.model_of(node), node[1]
-        cls = (mdl.epistemic_class(w) if relation == "epi" else mdl.nomic_class(w))
-        return [(node[0], t) for t in sorted(cls)]
+        return [(node[0], t) for t in sorted(self._class(node, relation))]
 
-    def _refine_once(self) -> bool:
-        prev = self.levels[-1]
-        profiles: dict[tuple, int] = {}
-        cells: dict[Node, int] = {}
-        for node in self.nodes:
-            prof = (prev[node],
-                    frozenset(prev[t] for t in self._succ(node, "epi")),
-                    frozenset(prev[t] for t in self._succ(node, "nomic")))
-            cells[node] = profiles.setdefault(prof, len(profiles))
-        changed = len(set(cells.values())) != len(set(prev.values()))
-        self.levels.append(cells)
-        return changed
+    def _refine(self, prev: dict[Node, int]) -> dict[Node, int]:
+        reach = {(i, cls): frozenset(prev[i, t] for t in cls)
+                 for i, mdl in enumerate(self.models)
+                 for cls in mdl.epistemic_partition + mdl.nomic_partition}
+        return _number({node: (prev[node], reach[node[0], self._class(node, "epi")],
+                               reach[node[0], self._class(node, "nomic")])
+                        for node in self.nodes})
 
-    def refine_to(self, depth: int) -> None:
-        while len(self.levels) <= depth and not self.stable:
-            if not self._refine_once():
-                self.stable = True
-                self.levels.pop()
-
-    def split_level(self, a: Node, b: Node, depth: int) -> int | None:
-        """Smallest level <= depth at which the two nodes sit in different
-        cells, or None if they agree through ``depth``."""
-        for j in range(min(depth, len(self.levels) - 1) + 1):
-            if self.levels[j][a] != self.levels[j][b]:
+    def split_level(self, a: Node, b: Node) -> int | None:
+        """Smallest level at which the two nodes sit in different cells, or
+        None if they are bisimilar."""
+        for j, cells in enumerate(self.levels):
+            if cells[a] != cells[b]:
                 return j
         return None
 
@@ -207,12 +188,12 @@ class _Refiner:
                         return atom
         raise AssertionError("level-0 split without a distinguishing atom")
 
-    def distinguish(self, a: Node, b: Node, depth: int) -> Formula:
-        """A formula of modal depth <= depth, true at ``a`` and false at ``b``;
-        the nodes must split by ``depth``."""
-        j = self.split_level(a, b, depth)
+    def distinguish(self, a: Node, b: Node) -> Formula:
+        """A formula true at ``a`` and false at ``b`` whose modal depth is
+        their split level; the nodes must not be bisimilar."""
+        j = self.split_level(a, b)
         if j is None:
-            raise AssertionError("distinguish called on equivalent nodes")
+            raise AssertionError("distinguish called on bisimilar nodes")
         if j == 0:
             atom = self.split_atom(a, b)
             return atom if self._atom_true_at(a, atom) else Not(atom)
@@ -223,12 +204,12 @@ class _Refiner:
                 if set(img_a) - set(img_b):
                     # a sees a cell b never reaches: diamond over a's witness
                     t = img_a[min(set(img_a) - set(img_b))]
-                    body = conj_all(self.distinguish(t, img_b[c], j - 1)
+                    body = conj_all(self.distinguish(t, img_b[c])
                                     for c in sorted(img_b))
                     return Not(box(Not(body)))
                 # b sees a cell a never reaches: box formula over a's successors
                 t = img_b[min(set(img_b) - set(img_a))]
-                body = conj_all(self.distinguish(t, img_a[c], j - 1)
+                body = conj_all(self.distinguish(t, img_a[c])
                                 for c in sorted(img_a))
                 return box(Not(body))
         raise AssertionError("split level with equal successor images")
@@ -249,18 +230,16 @@ def find_distinguishing_formula(pm: PointedModel, pm2: PointedModel,
                                 depth: int | None = None) -> Formula | None:
     """Some formula of modal depth <= depth over the shared propositions and
     support-bounded dependency atoms that separates the two points, or None
-    when every such formula agrees on them.  ``depth`` defaults to the product
-    of the two world counts, which is past the refinement fixpoint."""
-    if depth is None:
-        depth = len(pm.model.worlds) * len(pm2.model.worlds)
-    if depth < 0:
+    when every such formula agrees on them.  ``depth`` None means unbounded;
+    any depth of at least n1 + n2 - 1 is the same, since the refinement is
+    stable after that many rounds."""
+    if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
     ref = _Refiner(pm.model, pm2.model)
-    ref.refine_to(depth)
     a, b = (0, pm.point), (1, pm2.point)
-    split = ref.split_level(a, b, depth)
-    if split is None:
+    split = ref.split_level(a, b)
+    if split is None or (depth is not None and split > depth):
         return None
     if split == 0:
         return ref.split_atom(a, b)
-    return ref.distinguish(a, b, depth)
+    return ref.distinguish(a, b)

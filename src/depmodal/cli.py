@@ -3,9 +3,11 @@
 Commands take their arguments positionally or through flags (``-m/--model``,
 ``-w/--world``, ``-f/--formula``); the flag form wins when both are given.
 Exit status: 0 for a completed command (a "false" answer is still 0),
-2 for usage or malformed input text, 3 for model load/validation errors,
-4 for evaluation errors such as unknown worlds or undeclared names, and
-5 when the two evaluation routes disagree, which is an internal error.
+1 when ``examples`` finds a fixture claim that does not hold, 2 for usage
+or malformed input text, 3 for model load/validation errors, 4 for
+evaluation errors such as unknown worlds or undeclared names, and 5 for an
+internal error: the two evaluation routes disagree, or any other
+unexpected exception.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import sys
 
 from . import fixtures
-from .bisim import are_bisimilar, find_distinguishing_formula
+from .bisim import find_distinguishing_formula
 from .dependency import generative_sets, is_generative, p_family, sigma
 from .errors import EvalError, ModelError, ParseError
 from .harness import GenParams, soundness_suite
@@ -28,7 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MODEL = 3
 EXIT_EVAL = 4
-EXIT_ROUTES = 5
+EXIT_INTERNAL = 5
 
 _KIND = {"g": GLOBAL, "l": LOCAL}
 
@@ -106,10 +108,6 @@ def _pick(pos, flag, what: str) -> str:
     return value
 
 
-def _load(path: str) -> KripkeModel:
-    return load_model_path(path)
-
-
 def _require_world(m: KripkeModel, w: str) -> str:
     m._world_index(w)
     return w
@@ -138,7 +136,7 @@ def _fmt_family(members) -> str:
 
 
 def cmd_check(args) -> int:
-    m = _load(_pick(args.model_pos, args.model_flag, "model path"))
+    m = load_model_path(_pick(args.model_pos, args.model_flag, "model path"))
     w = _require_world(m, _pick(args.world_pos, args.world_flag, "world"))
     f = parse_formula(_pick(args.formula_pos, args.formula_flag, "formula"))
     value = _both(m, w, f)
@@ -149,7 +147,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_extension(args) -> int:
-    m = _load(_pick(args.model_pos, args.model_flag, "model path"))
+    m = load_model_path(_pick(args.model_pos, args.model_flag, "model path"))
     f = parse_formula(_pick(args.formula_pos, args.formula_flag, "formula"))
     sat = [w for w in m.worlds if _both(m, w, f)]
     _emit(args, {"command": "extension", "formula": render_formula(f), "worlds": sat},
@@ -158,7 +156,7 @@ def cmd_extension(args) -> int:
 
 
 def cmd_generative(args) -> int:
-    m = _load(_pick(args.model_pos, args.model_flag, "model path"))
+    m = load_model_path(_pick(args.model_pos, args.model_flag, "model path"))
     w = _require_world(m, _pick(args.world_pos, args.world_flag, "world"))
     kind = _KIND[args.kind]
     fam = p_family(m, w, kind)
@@ -186,19 +184,22 @@ def cmd_generative(args) -> int:
 
 
 def cmd_bisim(args) -> int:
-    m = _load(_pick(args.model_pos, args.model_flag, "model path"))
+    m = load_model_path(_pick(args.model_pos, args.model_flag, "model path"))
     w = _require_world(m, _pick(args.world_pos, args.world_flag, "world"))
-    m2 = _load(_pick(args.model2_pos, args.model2_flag, "second model path"))
+    m2 = load_model_path(_pick(args.model2_pos, args.model2_flag, "second model path"))
     w2 = _require_world(m2, _pick(args.world2_pos, args.world2_flag, "second world"))
     if set(m.propositions) != set(m2.propositions):
         raise EvalError("proposition signatures differ; models are not comparable")
     pm, pm2 = PointedModel(m, w), PointedModel(m2, w2)
-    verdict = are_bisimilar(pm, pm2)
+    # unbounded, a formula exists exactly when the points are not bisimilar
+    f = find_distinguishing_formula(pm, pm2)
+    verdict = f is None
+    if not verdict and args.depth is not None:
+        f = find_distinguishing_formula(pm, pm2, args.depth)
     payload: dict = {"command": "bisim", "bisimilar": verdict}
     if verdict:
         _emit(args, payload, "bisimilar")
         return EXIT_OK
-    f = find_distinguishing_formula(pm, pm2, args.depth)
     if f is None:
         payload["distinguishing"] = None
         _emit(args, payload,
@@ -221,7 +222,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    m = _load(_pick(args.model_pos, args.model_flag, "model path"))
+    m = load_model_path(_pick(args.model_pos, args.model_flag, "model path"))
     text = "\n".join([
         f"worlds: {len(m.worlds)}",
         f"propositions: {len(m.propositions)}",
@@ -298,9 +299,10 @@ def main(argv: list[str] | None = None) -> int:
     except EvalError as e:
         print(f"evaluation error: {e}", file=sys.stderr)
         return EXIT_EVAL
-    except _RouteDisagreement as e:
+    except Exception as e:
+        # route disagreements and bugs alike: no traceback, a documented code
         print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_ROUTES
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -186,16 +186,18 @@ def _generative_graph(p: EvidenceFamily, w: VarSet) -> bool:
 def generative_family(p: EvidenceFamily) -> EvidenceFamily:
     """All generative sets from ``p``: exactly the unions of nonempty
     sub-collections of ``p`` whose intersection graph is connected, and always
-    a superset of ``p`` itself.  Computed by filtering the subsets of the
-    support, which is sound because a generative set can never leave it."""
-    support = sorted(p.support)
-    members = []
-    for size in range(1, len(support) + 1):
-        for combo in itertools.combinations(support, size):
-            w = frozenset(combo)
-            if _generative_lemma(p, w):
-                members.append(w)
-    return EvidenceFamily(frozenset(members))
+    a superset of ``p`` itself.  Computed as the closure of ``p`` under
+    ``g | m`` for overlapping members ``m``, which is complete because a
+    connected sub-collection can be ordered so that each member meets the
+    union of those before it."""
+    out = set(p.members)
+    work = list(out)
+    while work:
+        g = work.pop()
+        grown = {g | m for m in p.members if g & m} - out
+        out |= grown
+        work.extend(grown)
+    return EvidenceFamily(frozenset(out))
 
 
 def generative_sets(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:

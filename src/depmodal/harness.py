@@ -10,7 +10,6 @@ leave every schema valid.  Counterexamples carry their reproduction seed.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -19,8 +18,8 @@ from . import dependency, semantics
 from .model import KripkeModel
 from .syntax import (BOT, KINDS, LOCAL, TOP, All, And, DepG, Formula, Know,
                      Not, Prop, VarSet, collect_dep_atoms, dep_atom, disj,
-                     disj_all, iff, implies, mutual_dependence, render_formula,
-                     render_varset)
+                     disj_all, iff, implies, mutual_dependence, proper_subsets,
+                     render_formula, render_varset)
 
 
 @dataclass(frozen=True)
@@ -191,8 +190,8 @@ def instantiate(inst: SchemaInstance) -> Formula:
         if not x or not y:
             raise ValueError("cover schema needs nonempty argument sets")
         blocks = sorted({xp | yp
-                         for xp in _nonempty_subsets(x)
-                         for yp in _nonempty_subsets(y)},
+                         for xp in (*proper_subsets(x), x)
+                         for yp in (*proper_subsets(y), y)},
                         key=lambda s: (len(s), sorted(s)))
         return iff(dep_atom(kind, x, y),
                    disj_all(mutual_dependence(kind, w) for w in blocks))
@@ -223,13 +222,6 @@ def instantiate(inst: SchemaInstance) -> Formula:
         x, y = inst.varsets
         return iff(DepG(x, y), Not(All(Not(dep_atom(LOCAL, x, y)))))
     raise ValueError(f"unknown schema {name!r}")
-
-
-def _nonempty_subsets(s: VarSet):
-    names = sorted(s)
-    for size in range(1, len(names) + 1):
-        for combo in itertools.combinations(names, size):
-            yield frozenset(combo)
 
 
 def draw_instances(rng: random.Random, m: KripkeModel,

@@ -120,7 +120,7 @@ class KripkeModel:
             for p in self.propositions:
                 if p not in pv:
                     raise ModelError(f"world {w!r}: missing valuation for proposition {p!r}")
-                if pv[p] not in (0, 1) or isinstance(pv[p], bool):
+                if type(pv[p]) is not int or pv[p] not in (0, 1):
                     raise ModelError(
                         f"world {w!r}: proposition {p!r} must be 0 or 1, got {pv[p]!r}")
             av = dict(assignment[w])
@@ -334,13 +334,23 @@ def load_model(doc: str | dict) -> KripkeModel:
             raise ModelError(f'world entry must be {{"id", "props", "vals"}}, '
                              f"got {entry!r}")
         w = entry["id"]
+        if not (isinstance(w, str) and isinstance(entry["props"], dict)
+                and isinstance(entry["vals"], dict)):
+            raise ModelError(f'world entry {entry!r}: "id" must be a string, '
+                             f'"props" and "vals" objects')
         worlds.append(w)
         valuation[w] = entry["props"]
         assignment[w] = entry["vals"]
+    for field in ("epistemic_partition", "nomic_partition"):
+        for cell in doc[field]:
+            if not (isinstance(cell, list) and all(isinstance(w, str) for w in cell)):
+                raise ModelError(f"field {field!r}: cell {cell!r} must be a list "
+                                 f"of world identifiers")
 
     mirrors = doc.get("mirrors", {})
-    if not isinstance(mirrors, dict):
-        raise ModelError("field 'mirrors' must be an object")
+    if not (isinstance(mirrors, dict)
+            and all(isinstance(x, str) for x in mirrors.values())):
+        raise ModelError("field 'mirrors' must be an object of variable names")
     comment = doc.get("comment", "")
     if not isinstance(comment, str):
         raise ModelError("field 'comment' must be a string")

@@ -2,14 +2,16 @@
 
 These deliberately avoid the production code paths they are checking:
 generativity is decided straight from its defining quantification over
-argument-set covers, and generative families are recomputed by enumerating
-connected sub-collections of the family.
+argument-set covers, generative families are recomputed by enumerating
+connected sub-collections of the family, and the greatest bisimulation is
+recomputed by deleting pairs until every survivor transfers.
 """
 
 import itertools
 import random
 
-from depmodal.dependency import EvidenceFamily, is_evidence
+from depmodal.dependency import EvidenceFamily, generative_sets, is_evidence
+from depmodal.syntax import GLOBAL, LOCAL
 
 
 def cover_oracle(p: EvidenceFamily, w: frozenset) -> bool:
@@ -62,3 +64,41 @@ def random_family(rng: random.Random, max_support: int = 6,
         size = rng.randint(1, len(support))
         members.add(frozenset(rng.sample(support, size)))
     return EvidenceFamily(frozenset(members))
+
+
+def pair_deletion_oracle(m, m2) -> frozenset:
+    """The pairs of the greatest bisimulation between two models: start from
+    all pairs passing the base conditions, then delete pairs whose zig or zag
+    transfer fails until nothing changes."""
+    if set(m.propositions) != set(m2.propositions):
+        return frozenset()
+    pairs = {(s, s2)
+             for s in m.worlds for s2 in m2.worlds
+             if _base_match(m, m2, s, s2)}
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(pairs):
+            if not _transfers(m, m2, pairs, *pair):
+                pairs.discard(pair)
+                changed = True
+    return frozenset(pairs)
+
+
+def _base_match(m, m2, s, s2) -> bool:
+    # proposition agreement presumes an identical declared signature
+    return (all(m.valuation[s][p] == m2.valuation[s2][p] for p in m.propositions)
+            and generative_sets(m, s, GLOBAL) == generative_sets(m2, s2, GLOBAL)
+            and generative_sets(m, s, LOCAL) == generative_sets(m2, s2, LOCAL))
+
+
+def _transfers(m, m2, pairs, s, s2) -> bool:
+    for cls, cls2 in ((m.epistemic_class(s), m2.epistemic_class(s2)),
+                      (m.nomic_class(s), m2.nomic_class(s2))):
+        for t in cls:                      # zig
+            if not any((t, t2) in pairs for t2 in cls2):
+                return False
+        for t2 in cls2:                    # zag
+            if not any((t, t2) in pairs for t in cls):
+                return False
+    return True

@@ -11,7 +11,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from depmodal import fixtures, semantics
-from depmodal.bisim import are_bisimilar, find_distinguishing_formula
+from depmodal.bisim import (are_bisimilar, find_distinguishing_formula,
+                            greatest_bisimulation)
 from depmodal.cli import main
 from depmodal.dependency import (METHODS, dep_holds_by_evidence,
                                  generative_family, is_generative, p_family)
@@ -21,7 +22,7 @@ from depmodal.semantics import evaluate, evaluate_by_evidence
 from depmodal.syntax import (GLOBAL, LOCAL, DepL, dep_atom, modal_depth,
                              parse_formula)
 
-from oracles import cover_oracle, random_family
+from oracles import cover_oracle, pair_deletion_oracle, random_family
 
 
 @contextmanager
@@ -170,6 +171,8 @@ def test_criterion_5_finite_hennessy_milner():
             bisimilar = are_bisimilar(pm1, pm2)
             formula = find_distinguishing_formula(pm1, pm2, depth)
             assert bisimilar == (formula is None), (i, w1, w2)
+            assert (greatest_bisimulation(m1, m2).pairs
+                    == pair_deletion_oracle(m1, m2)), i
             verdicts.add(bisimilar)
             if formula is not None:
                 assert modal_depth(formula) <= depth

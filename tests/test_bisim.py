@@ -147,6 +147,17 @@ class TestGreatestBisimulation:
     def test_signature_mismatch_gives_empty(self, open_door, witness):
         assert not greatest_bisimulation(open_door, witness)
 
+    def test_uniform_single_cell_keeps_every_pair(self):
+        worlds = [f"w{i}" for i in range(80)]
+        m = load_model({
+            "propositions": ["p"],
+            "variables": [{"name": "x", "hidden": False}],
+            "worlds": [{"id": w, "props": {"p": 0}, "vals": {"x": 0}} for w in worlds],
+            "epistemic_partition": [worlds],
+            "nomic_partition": [worlds],
+        })
+        assert len(greatest_bisimulation(m, m)) == 6400
+
     def test_relabeled_copy_fully_bisimilar(self, judging_case_1):
         m = judging_case_1
         copy = relabeled(m, "_c")

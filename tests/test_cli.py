@@ -168,6 +168,41 @@ class TestBisim:
         assert data["bisimilar"] is False
         assert data["distinguishing"] == "Dl({y};{y})"
 
+    # experiment_2runs w1 and experiment_3runs w1 first split at level 1
+    @pytest.mark.parametrize("first, second, depth, code, bisimilar, modal", [
+        (("dl_strictness_witness", "a"), ("dl_strictness_witness", "b"), 0, 0, False, 0),
+        (("experiment_2runs", "w1"), ("experiment_3runs", "w1"), 0, 0, False, None),
+        (("experiment_2runs", "w1"), ("experiment_3runs", "w1"), 1, 0, False, 1),
+        (("experiment_2runs", "w1"), ("experiment_3runs", "w1"), 5, 0, False, 1),
+        (("dl_strictness_witness", "a"), ("dl_strictness_witness", "a"), -1, 0, True, None),
+        (("open_door", "s"), ("open_door", "s"), -1, 0, True, None),
+        (("dl_strictness_witness", "a"), ("dl_strictness_witness", "b"), -1, 2, None, None),
+        (("experiment_2runs", "w1"), ("experiment_3runs", "w1"), -1, 2, None, None),
+    ])
+    def test_depth(self, capsys, first, second, depth, code, bisimilar, modal):
+        from depmodal.model import load_model_path
+        from depmodal.semantics import evaluate
+        from depmodal.syntax import modal_depth, parse_formula
+
+        (n1, w1), (n2, w2) = first, second
+        got, out, err = run(capsys, "bisim", fixture_path(n1), w1, fixture_path(n2),
+                            w2, "--depth", str(depth), "--json")
+        assert got == code
+        if code == 2:
+            assert err.startswith("invalid argument: depth must be >= 0")
+            return
+        data = json.loads(out)
+        assert data["bisimilar"] is bisimilar
+        if bisimilar:
+            assert "distinguishing" not in data
+        elif modal is None:
+            assert data["distinguishing"] is None
+        else:
+            f = parse_formula(data["distinguishing"])
+            assert modal_depth(f) == modal
+            m1, m2 = load_model_path(fixture_path(n1)), load_model_path(fixture_path(n2))
+            assert evaluate(m1, w1, f) != evaluate(m2, w2, f)
+
 
 # ---------------------------------------------------------------------------
 # axioms / examples
@@ -218,6 +253,18 @@ def test_route_disagreement_is_internal_error(capsys, monkeypatch):
                        "Dl({bar_p};{bar_r})")
     assert code == 5
     assert "routes disagree" in err
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    from depmodal import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", broken)
+    code, _, err = run(capsys, "validate", fixture_path("open_door"))
+    assert code == 5
+    assert err.startswith("internal error: ") and "boom" in err
 
 
 def test_no_command_is_usage_error(capsys):

@@ -174,6 +174,17 @@ class TestGenerativeFamily:
             p = random_family(rng, max_support=5)
             assert generative_family(p).members == connected_union_oracle(p)
 
+    @pytest.mark.parametrize("k", range(3, 15))
+    def test_ring_of_pairs(self, k):
+        # the connected sub-collections of a k-cycle are its arcs: k unions of
+        # each size 2..k-1, plus the whole support
+        names = [f"v{i}" for i in range(k)]
+        p = family(frozenset((names[i], names[(i + 1) % k])) for i in range(k))
+        g = generative_family(p)
+        assert len(g) == k * (k - 2) + 1
+        if k <= 8:
+            assert g.members == connected_union_oracle(p)
+
     def test_contains_family_and_closure(self):
         rng = random.Random(17)
         for _ in range(60):

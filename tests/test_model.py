@@ -112,6 +112,23 @@ class TestLoad:
         with pytest.raises(ModelError, match="must be 0 or 1"):
             load_model(doc)
 
+    @pytest.mark.parametrize("path, value", [
+        (("worlds", 0, "props", "p"), 1.0),
+        (("worlds", 0, "props"), [1]),
+        (("worlds", 0, "id"), ["u"]),
+        (("epistemic_partition", 0), 5),
+        (("mirrors",), {"p": ["x"]}),
+    ])
+    def test_malformed_document_is_model_error(self, path, value):
+        doc = tiny_model()
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ModelError):
+            load_model(doc)
+
     def test_reserved_name_rejected(self):
         doc = tiny_model(propositions=["top"])
         doc["worlds"][0]["props"] = {"top": 1}
