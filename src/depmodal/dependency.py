@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .model import KripkeModel
-from .syntax import GLOBAL, KINDS, VarSet
+from .syntax import GLOBAL, VarSet
 
 METHODS = ("lemma", "partition", "graph")
 
@@ -68,24 +68,15 @@ def p_family(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
     all pairs inside s's nomic class for the global kind, pairs anchored at
     ``s`` itself for the local kind.  The local family is always a subset of
     the global one."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    cls = m.nomic_class(s)
-    key = (kind, cls if kind == GLOBAL else s)
-    cached = m._family_cache.get(key)
-    if cached is not None:
-        return cached
-    with m._cache_lock:
-        cached = m._family_cache.get(key)
-        if cached is None:
-            if kind == GLOBAL:
-                members = {m.delta(u, v) for u in cls for v in cls}
-            else:
-                members = {m.delta(t, s) for t in cls}
-            members.discard(frozenset())
-            cached = EvidenceFamily(frozenset(members))
-            m._family_cache[key] = cached
-    return cached
+    def compute() -> EvidenceFamily:
+        cls = m.nomic_class(s)
+        if kind == GLOBAL:
+            members = {m.delta(u, v) for u in cls for v in cls}
+        else:
+            members = {m.delta(t, s) for t in cls}
+        members.discard(frozenset())
+        return EvidenceFamily(frozenset(members))
+    return m._memo(("family", kind, m._anchor(s, kind)), compute)
 
 
 def atom_holds_from_family(fam: EvidenceFamily, x: VarSet, y: VarSet) -> bool:
@@ -101,7 +92,8 @@ def dep_holds_by_evidence(m: KripkeModel, s: str, kind: str,
     difference family for an evidence of the pair."""
     m._check_named(x)
     m._check_named(y)
-    return atom_holds_from_family(p_family(m, s, kind), x, y)
+    return m._memo(("evidence", kind, x, y, m._anchor(s, kind)),
+                   lambda: atom_holds_from_family(p_family(m, s, kind), x, y))
 
 
 def sigma(p: EvidenceFamily, w: VarSet) -> frozenset[VarSet]:
@@ -202,14 +194,5 @@ def generative_family(p: EvidenceFamily) -> EvidenceFamily:
 
 def generative_sets(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
     """The generative family of a world's difference family, cached per model."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    cls = m.nomic_class(s)
-    key = (kind, cls if kind == GLOBAL else s)
-    cached = m._gen_cache.get(key)
-    if cached is not None:
-        return cached
-    fam = generative_family(p_family(m, s, kind))
-    with m._cache_lock:
-        m._gen_cache[key] = fam
-    return fam
+    return m._memo(("generative", kind, m._anchor(s, kind)),
+                   lambda: generative_family(p_family(m, s, kind)))

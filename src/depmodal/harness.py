@@ -326,11 +326,11 @@ def soundness_suite(params: GenParams, trials: int) -> SoundnessReport:
         for inst in draw_instances(rng, m):
             f = instantiate(inst)
             atoms |= collect_dep_atoms(f)
-            for s in m.worlds:
-                if not semantics.evaluate(m, s, f):
-                    report.counterexamples.append(
-                        Counterexample(seed, inst.label(), render_formula(f), s))
-                    break
+            ext = semantics.extension(m, f)
+            bad = next((s for s in m.worlds if s not in ext), None)
+            if bad is not None:
+                report.counterexamples.append(
+                    Counterexample(seed, inst.label(), render_formula(f), bad))
         for kind, x, y in sorted(atoms, key=lambda a: (a[0], sorted(a[1]), sorted(a[2]))):
             for s in m.worlds:
                 report.atoms_checked += 1

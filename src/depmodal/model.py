@@ -21,7 +21,10 @@ Model documents are JSON objects:
 
 ``mirrors`` pins a variable to a proposition: at every world the variable's
 value must equal the proposition's truth value.  Models are immutable after
-construction; read-only sharing across threads is safe.
+construction; read-only sharing across threads is safe.  Derived answers
+(dependency atoms, difference and generative families) are cached per model
+by their anchor, and computed outside the cache lock because computations
+nest.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import EvalError, ModelError
-from .syntax import RESERVED, VarSet
+from .syntax import GLOBAL, KINDS, LOCAL, RESERVED, VarSet
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -161,9 +164,7 @@ class KripkeModel:
         self._nomic_cell = {w: cell for cell in self.nomic_partition for w in cell}
 
         self._cache_lock = threading.Lock()
-        self._family_cache: dict = {}
-        self._gen_cache: dict = {}
-        self._direct_cache: dict = {}
+        self._memo_table: dict = {}
 
     def _check_partition(self, cells: Iterable[Iterable[str]],
                          label: str) -> tuple[frozenset[str], ...]:
@@ -203,6 +204,27 @@ class KripkeModel:
         bad = xs - self._named_set
         if bad:
             raise EvalError(f"undeclared variable {sorted(bad)[0]!r}")
+
+    def _anchor(self, s: str, kind: str) -> frozenset[str] | str:
+        """What an answer of ``kind`` at ``s`` depends on: the nomic class for
+        the global kind, the world itself for the local kind."""
+        if kind == GLOBAL:
+            return self.nomic_class(s)
+        if kind == LOCAL:
+            self._world_index(s)
+            return s
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+    def _memo(self, key: tuple, compute):
+        """The cached ``compute()`` for ``key``.  Computed outside the lock,
+        since one computation may ask for another; concurrent callers all get
+        the first value stored."""
+        cached = self._memo_table.get(key)
+        if cached is not None:
+            return cached
+        value = compute()
+        with self._cache_lock:
+            return self._memo_table.setdefault(key, value)
 
     def prop_value(self, w: str, p: str) -> int:
         self._world_index(w)

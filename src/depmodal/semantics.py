@@ -35,13 +35,8 @@ def dep_holds_direct(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) ->
     """Dependency-atom truth by literal pair search over the nomic class."""
     m._check_named(x)
     m._check_named(y)
-    anchor = s if kind == LOCAL else m.nomic_class(s)
-    key = (kind, x, y, anchor)
-    cached = m._direct_cache.get(key)
-    if cached is None:
-        cached = _dep_direct_search(m, s, kind, x, y)
-        m._direct_cache[key] = cached
-    return cached
+    return m._memo((DIRECT, kind, x, y, m._anchor(s, kind)),
+                   lambda: _dep_direct_search(m, s, kind, x, y))
 
 
 def _dep_direct_search(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) -> bool:
@@ -81,28 +76,26 @@ def check_names(m: KripkeModel, f: Formula) -> None:
     return None
 
 
-def _eval(m: KripkeModel, s: str, f: Formula, route: str) -> bool:
+def _eval(m: KripkeModel, s: str, f: Formula, holds) -> bool:
+    """Truth of ``f`` at ``s``, dependency atoms answered by
+    ``holds(m, s, kind, x, y)``."""
     match f:
         case Top():
             return True
         case Prop(name):
             return m.valuation[s][name] == 1
         case Not(g):
-            return not _eval(m, s, g, route)
+            return not _eval(m, s, g, holds)
         case And(l, r):
-            return _eval(m, s, l, route) and _eval(m, s, r, route)
+            return _eval(m, s, l, holds) and _eval(m, s, r, holds)
         case Know(g):
-            return all(_eval(m, t, g, route) for t in m.epistemic_class(s))
+            return all(_eval(m, t, g, holds) for t in m.epistemic_class(s))
         case All(g):
-            return all(_eval(m, t, g, route) for t in m.nomic_class(s))
+            return all(_eval(m, t, g, holds) for t in m.nomic_class(s))
         case DepG(x, y):
-            if route == DIRECT:
-                return dep_holds_direct(m, s, GLOBAL, x, y)
-            return dependency.dep_holds_by_evidence(m, s, GLOBAL, x, y)
+            return holds(m, s, GLOBAL, x, y)
         case DepL(x, y):
-            if route == DIRECT:
-                return dep_holds_direct(m, s, LOCAL, x, y)
-            return dependency.dep_holds_by_evidence(m, s, LOCAL, x, y)
+            return holds(m, s, LOCAL, x, y)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -110,7 +103,7 @@ def evaluate(m: KripkeModel, s: str, f: Formula) -> bool:
     """Truth of ``f`` at world ``s`` by the direct route."""
     m._world_index(s)
     check_names(m, f)
-    return _eval(m, s, f, DIRECT)
+    return _eval(m, s, f, dep_holds_direct)
 
 
 def evaluate_by_evidence(m: KripkeModel, s: str, f: Formula) -> bool:
@@ -118,7 +111,7 @@ def evaluate_by_evidence(m: KripkeModel, s: str, f: Formula) -> bool:
     world's difference families."""
     m._world_index(s)
     check_names(m, f)
-    return _eval(m, s, f, EVIDENCE)
+    return _eval(m, s, f, dependency.dep_holds_by_evidence)
 
 
 def evaluate_both(m: KripkeModel, s: str, f: Formula) -> tuple[Verdict, Verdict]:
@@ -130,10 +123,10 @@ def evaluate_both(m: KripkeModel, s: str, f: Formula) -> tuple[Verdict, Verdict]
 def extension(m: KripkeModel, f: Formula) -> set[str]:
     """The set of worlds satisfying ``f``."""
     check_names(m, f)
-    return {s for s in m.worlds if _eval(m, s, f, DIRECT)}
+    return {s for s in m.worlds if _eval(m, s, f, dep_holds_direct)}
 
 
 def valid_on_model(m: KripkeModel, f: Formula) -> bool:
     """True iff ``f`` holds at every world of the model."""
     check_names(m, f)
-    return all(_eval(m, s, f, DIRECT) for s in m.worlds)
+    return all(_eval(m, s, f, dep_holds_direct) for s in m.worlds)

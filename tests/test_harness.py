@@ -9,7 +9,7 @@ from depmodal.harness import (GenParams, SchemaInstance, draw_instances,
                               schema_names, soundness_suite, ROUTE_CHECK)
 from depmodal.syntax import (BOT, GLOBAL, LOCAL, All, And, DepG, DepL, Know,
                              Not, collect_dep_atoms, iff, implies, disj,
-                             mutual_dependence)
+                             mutual_dependence, parse_formula)
 
 
 def vs(*names):
@@ -193,6 +193,33 @@ class TestSoundnessSuite:
         assert route_hits
         first = route_hits[0]
         assert first.seed >= 0 and first.world
+
+    def test_schema_counterexample_is_first_false_world(self, monkeypatch):
+        def without_y_difference(m, s, kind, x, y):
+            m._check_named(x)
+            m._check_named(y)
+            cls = m.nomic_class(s)
+            if kind == GLOBAL:
+                pairs = ((u, v) for u in cls for v in cls)
+            else:
+                pairs = ((t, s) for t in cls)
+            return any(m.differs_on(u, v, x) and m.agree_outside(u, v, x | y)
+                       for u, v in pairs)
+
+        monkeypatch.setattr(semantics, "dep_holds_direct", without_y_difference)
+        params = GenParams(seed=0)
+        report = soundness_suite(params, trials=40)
+        found = [ce for ce in report.counterexamples if ce.schema != ROUTE_CHECK]
+        assert len(found) == 16
+        past_first = 0
+        for ce in found:
+            m = random_model(replace(params, seed=ce.seed))
+            f = parse_formula(ce.instance)
+            i = m.worlds.index(ce.world)
+            assert not semantics.evaluate(m, ce.world, f)
+            assert all(semantics.evaluate(m, s, f) for s in m.worlds[:i])
+            past_first += i > 0
+        assert past_first
 
     def test_report_serialization(self):
         report = soundness_suite(GenParams(seed=1), trials=5)

@@ -1,14 +1,20 @@
+import concurrent.futures
 import itertools
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
+from depmodal import fixtures
+from depmodal.dependency import (dep_holds_by_evidence, generative_sets,
+                                 p_family)
 from depmodal.errors import EvalError
 from depmodal.harness import GenParams, random_formula, random_model
-from depmodal.semantics import (Verdict, evaluate, evaluate_both,
-                                evaluate_by_evidence, extension,
-                                valid_on_model)
+from depmodal.semantics import (Verdict, dep_holds_direct, evaluate,
+                                evaluate_both, evaluate_by_evidence,
+                                extension, valid_on_model)
 from depmodal.syntax import (GLOBAL, LOCAL, TOP, All, DepG, DepL, Know, Not,
                              dep_atom, iff, implies, parse_formula)
 
@@ -128,6 +134,25 @@ class TestClauses:
         assert e == Verdict(True, "evidence")
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+@pytest.mark.parametrize("ask", [
+    lambda m, s, kind: dep_holds_direct(m, s, kind, vs("y"), vs("y")),
+    lambda m, s, kind: dep_holds_by_evidence(m, s, kind, vs("y"), vs("y")),
+    p_family,
+    generative_sets,
+], ids=["direct", "evidence", "p_family", "generative_sets"])
+def test_unknown_kind_rejected(ask, warm):
+    # an unknown kind must not be answered from, or as, a cached global entry
+    m = fixtures.load_fixture("dl_strictness_witness")
+    if warm:
+        for w in m.worlds:
+            for kind in (GLOBAL, LOCAL):
+                ask(m, w, kind)
+    for w in m.worlds:
+        with pytest.raises(ValueError, match="kind must be one of"):
+            ask(m, w, "bogus")
+
+
 # ---------------------------------------------------------------------------
 # Validity driver
 # ---------------------------------------------------------------------------
@@ -221,20 +246,48 @@ class TestSemanticLaws:
                                or evaluate(m, s, dep_atom(kind, x & y, y)))
                         assert lhs == rhs
 
-    def test_concurrent_evaluation_is_consistent(self, experiment_3runs):
-        # models are immutable; parallel readers must agree with serial answers
-        import concurrent.futures
+    def test_concurrent_evaluation_is_consistent(self):
+        # cold caches, so the memo's write path runs under threads: every
+        # thread must see the serial answers and one shared family object
+        subsets = all_subsets(("x", "y", "z"))[1:]
 
-        m = experiment_3runs
-        f = parse_formula("K Dg({x};{z})")
-        expected = {w: evaluate(m, w, f) for w in m.worlds}
-        jobs = [(w, f) for w in m.worlds] * 8
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(
-                lambda job: (job[0], evaluate(m, job[0], job[1]),
-                             evaluate_by_evidence(m, job[0], job[1])), jobs))
-        for w, direct, routed in results:
-            assert direct == routed == expected[w]
+        def answers(m):
+            gen, atoms = {}, {}
+            for w in m.worlds:
+                for kind in (GLOBAL, LOCAL):
+                    gen[w, kind] = generative_sets(m, w, kind)
+                    for holds in (dep_holds_direct, dep_holds_by_evidence):
+                        for x in subsets:
+                            for y in subsets:
+                                atoms[holds.__name__, w, kind, x, y] = \
+                                    holds(m, w, kind, x, y)
+            return gen, atoms
+
+        start = threading.Barrier(8)
+
+        def contended(m):
+            start.wait(timeout=30)
+            return answers(m)
+
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=8)
+        interval = sys.getswitchinterval()
+        try:
+            # the serial run waits with a timeout too: a lock held around a
+            # nested computation deadlocks even a single thread
+            expected_gen, expected_atoms = pool.submit(
+                answers, fixtures.load_fixture("experiment_3runs")).result(timeout=30)
+            m = fixtures.load_fixture("experiment_3runs")
+            sys.setswitchinterval(1e-5)
+            futures = [pool.submit(contended, m) for _ in range(8)]
+            results = [future.result(timeout=30) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=False, cancel_futures=True)
+        first_gen = results[0][0]
+        for gen, atoms in results:
+            assert atoms == expected_atoms
+            assert gen == expected_gen
+            assert all(gen[key] is first_gen[key] for key in gen)
 
     def test_interdependence_cover_biconditional(self):
         # D(X,Y) <-> some nonempty sub-blocks of X and Y form one generative block
