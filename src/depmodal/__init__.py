@@ -13,7 +13,7 @@ from .syntax import (BOT, GLOBAL, KINDS, LOCAL, TOP, All, And, DepG, DepL,
 from .model import KripkeModel, PointedModel, load_model, load_model_path
 from .semantics import (Verdict, check_names, dep_holds_direct, evaluate,
                         evaluate_both, evaluate_by_evidence, extension,
-                        valid_on_model)
+                        extension_by_evidence, valid_on_model)
 from .dependency import (EvidenceFamily, atom_holds_from_family,
                          dep_holds_by_evidence, family, generative_family,
                          generative_sets, is_evidence, is_generative,

@@ -22,7 +22,8 @@ from .dependency import generative_sets, is_generative, p_family, sigma
 from .errors import EvalError, ModelError, ParseError
 from .harness import GenParams, soundness_suite
 from .model import KripkeModel, PointedModel, load_model_path
-from .semantics import evaluate, evaluate_by_evidence
+from .semantics import (evaluate, evaluate_by_evidence, extension,
+                        extension_by_evidence)
 from .syntax import (GLOBAL, LOCAL, parse_formula, parse_varset,
                      render_formula, render_varset)
 
@@ -113,14 +114,23 @@ def _require_world(m: KripkeModel, w: str) -> str:
     return w
 
 
-def _both(m: KripkeModel, s: str, f) -> bool:
-    direct = evaluate(m, s, f)
-    routed = evaluate_by_evidence(m, s, f)
+def _agree(s: str, direct: bool, routed: bool) -> bool:
     if direct != routed:
         raise _RouteDisagreement(
             f"evaluation routes disagree at world {s!r}: "
             f"direct={direct} evidence={routed}")
     return direct
+
+
+def _both(m: KripkeModel, s: str, f) -> bool:
+    return _agree(s, evaluate(m, s, f), evaluate_by_evidence(m, s, f))
+
+
+def _extension_both(m: KripkeModel, f) -> list[str]:
+    """The satisfying worlds in model order, one pass per route."""
+    direct = extension(m, f)
+    routed = extension_by_evidence(m, f)
+    return [s for s in m.worlds if _agree(s, s in direct, s in routed)]
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -149,7 +159,7 @@ def cmd_check(args) -> int:
 def cmd_extension(args) -> int:
     m = load_model_path(_pick(args.model_pos, args.model_flag, "model path"))
     f = parse_formula(_pick(args.formula_pos, args.formula_flag, "formula"))
-    sat = [w for w in m.worlds if _both(m, w, f)]
+    sat = _extension_both(m, f)
     _emit(args, {"command": "extension", "formula": render_formula(f), "worlds": sat},
           "\n".join(sat) if sat else "(no worlds)")
     return EXIT_OK
@@ -250,9 +260,12 @@ def cmd_examples(args) -> int:
     results = []
     for claim in fixtures.fixture_claims(args.name):
         f = parse_formula(claim.formula)
-        targets = [claim.world] if claim.world is not None else list(m.worlds)
-        for w in targets:
-            got = _both(m, w, f)
+        if claim.world is not None:
+            got_at = {claim.world: _both(m, claim.world, f)}
+        else:
+            sat = set(_extension_both(m, f))
+            got_at = {w: w in sat for w in m.worlds}
+        for w, got in got_at.items():
             results.append({"world": w, "formula": claim.formula,
                             "expected": claim.expect, "got": got,
                             "ok": got == claim.expect})

@@ -71,7 +71,8 @@ def p_family(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
     def compute() -> EvidenceFamily:
         cls = m.nomic_class(s)
         if kind == GLOBAL:
-            members = {m.delta(u, v) for u in cls for v in cls}
+            # delta is symmetric and empty on (u, u)
+            members = {m.delta(u, v) for u, v in itertools.combinations(cls, 2)}
         else:
             members = {m.delta(t, s) for t in cls}
         members.discard(frozenset())

@@ -6,11 +6,13 @@ the two argument sets while differing inside each of them; the local variant
 pins one end of the pair to the evaluation world.  The evidence route answers
 the same atoms by searching the world's difference family instead.  The two
 routes must agree everywhere; the CLI and the soundness harness treat any
-disagreement as an internal error.
+disagreement as an internal error.  Within one call, a ``K`` or ``A`` box is
+evaluated once per cell of its partition and reused at every world of it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import dependency
@@ -43,7 +45,8 @@ def _dep_direct_search(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) 
     xy = x | y
     cls = m.nomic_class(s)
     if kind == GLOBAL:
-        pairs = ((u, v) for u in cls for v in cls)
+        # the conditions are symmetric in (u, v) and fail on (u, u)
+        pairs = itertools.combinations(cls, 2)
     else:
         pairs = ((t, s) for t in cls)
     for u, v in pairs:
@@ -76,22 +79,28 @@ def check_names(m: KripkeModel, f: Formula) -> None:
     return None
 
 
-def _eval(m: KripkeModel, s: str, f: Formula, holds) -> bool:
+def _eval(m: KripkeModel, s: str, f: Formula, holds, boxes: dict) -> bool:
     """Truth of ``f`` at ``s``, dependency atoms answered by
-    ``holds(m, s, kind, x, y)``."""
+    ``holds(m, s, kind, x, y)``.  ``boxes`` maps ``(id(box), cell)`` to the
+    box's value on that cell; it lives for one call, while the root formula
+    keeps every node alive, so ids cannot be reused.  The box case is inlined
+    so that nesting costs no more stack per level than plain recursion."""
     match f:
         case Top():
             return True
         case Prop(name):
             return m.valuation[s][name] == 1
         case Not(g):
-            return not _eval(m, s, g, holds)
+            return not _eval(m, s, g, holds, boxes)
         case And(l, r):
-            return _eval(m, s, l, holds) and _eval(m, s, r, holds)
-        case Know(g):
-            return all(_eval(m, t, g, holds) for t in m.epistemic_class(s))
-        case All(g):
-            return all(_eval(m, t, g, holds) for t in m.nomic_class(s))
+            return _eval(m, s, l, holds, boxes) and _eval(m, s, r, holds, boxes)
+        case Know(g) | All(g):
+            cell = (m.epistemic_class if type(f) is Know else m.nomic_class)(s)
+            key = (id(f), cell)
+            value = boxes.get(key)
+            if value is None:
+                value = boxes[key] = all(_eval(m, t, g, holds, boxes) for t in cell)
+            return value
         case DepG(x, y):
             return holds(m, s, GLOBAL, x, y)
         case DepL(x, y):
@@ -103,7 +112,7 @@ def evaluate(m: KripkeModel, s: str, f: Formula) -> bool:
     """Truth of ``f`` at world ``s`` by the direct route."""
     m._world_index(s)
     check_names(m, f)
-    return _eval(m, s, f, dep_holds_direct)
+    return _eval(m, s, f, dep_holds_direct, {})
 
 
 def evaluate_by_evidence(m: KripkeModel, s: str, f: Formula) -> bool:
@@ -111,7 +120,7 @@ def evaluate_by_evidence(m: KripkeModel, s: str, f: Formula) -> bool:
     world's difference families."""
     m._world_index(s)
     check_names(m, f)
-    return _eval(m, s, f, dependency.dep_holds_by_evidence)
+    return _eval(m, s, f, dependency.dep_holds_by_evidence, {})
 
 
 def evaluate_both(m: KripkeModel, s: str, f: Formula) -> tuple[Verdict, Verdict]:
@@ -120,13 +129,25 @@ def evaluate_both(m: KripkeModel, s: str, f: Formula) -> tuple[Verdict, Verdict]
             Verdict(evaluate_by_evidence(m, s, f), EVIDENCE))
 
 
+def _extension(m: KripkeModel, f: Formula, holds) -> set[str]:
+    check_names(m, f)
+    boxes: dict = {}
+    return {s for s in m.worlds if _eval(m, s, f, holds, boxes)}
+
+
 def extension(m: KripkeModel, f: Formula) -> set[str]:
     """The set of worlds satisfying ``f``."""
-    check_names(m, f)
-    return {s for s in m.worlds if _eval(m, s, f, dep_holds_direct)}
+    return _extension(m, f, dep_holds_direct)
+
+
+def extension_by_evidence(m: KripkeModel, f: Formula) -> set[str]:
+    """The set of worlds satisfying ``f``, dependency atoms answered from the
+    worlds' difference families."""
+    return _extension(m, f, dependency.dep_holds_by_evidence)
 
 
 def valid_on_model(m: KripkeModel, f: Formula) -> bool:
     """True iff ``f`` holds at every world of the model."""
     check_names(m, f)
-    return all(_eval(m, s, f, dep_holds_direct) for s in m.worlds)
+    boxes: dict = {}
+    return all(_eval(m, s, f, dep_holds_direct, boxes) for s in m.worlds)

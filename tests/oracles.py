@@ -3,15 +3,17 @@
 These deliberately avoid the production code paths they are checking:
 generativity is decided straight from its defining quantification over
 argument-set covers, generative families are recomputed by enumerating
-connected sub-collections of the family, and the greatest bisimulation is
-recomputed by deleting pairs until every survivor transfers.
+connected sub-collections of the family, the greatest bisimulation is
+recomputed by deleting pairs until every survivor transfers, and formulas are
+evaluated by plain recursion with no memo of box values.
 """
 
 import itertools
 import random
 
 from depmodal.dependency import EvidenceFamily, generative_sets, is_evidence
-from depmodal.syntax import GLOBAL, LOCAL
+from depmodal.syntax import (GLOBAL, LOCAL, All, And, DepG, DepL, Know, Not,
+                             Prop, Top)
 
 
 def cover_oracle(p: EvidenceFamily, w: frozenset) -> bool:
@@ -102,3 +104,30 @@ def _transfers(m, m2, pairs, s, s2) -> bool:
             if not any((t, t2) in pairs for t in cls):
                 return False
     return True
+
+
+def recursive_eval_oracle(m, s, f, holds) -> bool:
+    """Truth of ``f`` at ``s``, dependency atoms answered by
+    ``holds(m, s, kind, x, y)``; every box is re-evaluated at every world it
+    is asked about."""
+    match f:
+        case Top():
+            return True
+        case Prop(name):
+            return m.valuation[s][name] == 1
+        case Not(g):
+            return not recursive_eval_oracle(m, s, g, holds)
+        case And(l, r):
+            return (recursive_eval_oracle(m, s, l, holds)
+                    and recursive_eval_oracle(m, s, r, holds))
+        case Know(g):
+            return all(recursive_eval_oracle(m, t, g, holds)
+                       for t in m.epistemic_class(s))
+        case All(g):
+            return all(recursive_eval_oracle(m, t, g, holds)
+                       for t in m.nomic_class(s))
+        case DepG(x, y):
+            return holds(m, s, GLOBAL, x, y)
+        case DepL(x, y):
+            return holds(m, s, LOCAL, x, y)
+    raise TypeError(f"not a formula: {f!r}")

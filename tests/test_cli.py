@@ -255,6 +255,28 @@ def test_route_disagreement_is_internal_error(capsys, monkeypatch):
     assert "routes disagree" in err
 
 
+@pytest.mark.parametrize("flipped, first", [({"w1"}, "w1"), ({"w9"}, "w9"),
+                                            ({"w24"}, "w24"),
+                                            ({"w17", "w5"}, "w5")])
+def test_extension_route_disagreement_names_first_world(capsys, monkeypatch,
+                                                        flipped, first):
+    from depmodal import dependency
+
+    honest = dependency.dep_holds_by_evidence
+
+    def broken(m, s, kind, x, y):
+        return honest(m, s, kind, x, y) != (s in flipped)
+
+    monkeypatch.setattr(dependency, "dep_holds_by_evidence", broken)
+    # Dg({x};{z}) holds at every world of experiment_3runs (w1..w24)
+    code, out, err = run(capsys, "extension", fixture_path("experiment_3runs"),
+                         "Dg({x};{z})")
+    assert code == 5
+    assert out == ""
+    assert err == (f"internal error: evaluation routes disagree at world "
+                   f"{first!r}: direct=True evidence=False\n")
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     from depmodal import cli
 

@@ -6,17 +6,23 @@ import threading
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from depmodal import fixtures
+from depmodal import fixtures, semantics
 from depmodal.dependency import (dep_holds_by_evidence, generative_sets,
                                  p_family)
 from depmodal.errors import EvalError
 from depmodal.harness import GenParams, random_formula, random_model
+from depmodal.model import load_model
 from depmodal.semantics import (Verdict, dep_holds_direct, evaluate,
                                 evaluate_both, evaluate_by_evidence,
-                                extension, valid_on_model)
+                                extension, extension_by_evidence,
+                                valid_on_model)
 from depmodal.syntax import (GLOBAL, LOCAL, TOP, All, DepG, DepL, Know, Not,
                              dep_atom, iff, implies, parse_formula)
+
+from oracles import recursive_eval_oracle
 
 
 def vs(*names):
@@ -302,3 +308,57 @@ class TestSemanticLaws:
                 y = frozenset(rng.sample(names, rng.randint(1, 2)))
                 f = instantiate(SchemaInstance("cover", kind, varsets=(x, y)))
                 assert valid_on_model(m, f)
+
+
+# ---------------------------------------------------------------------------
+# Box values memoized per cell: agreement with plain recursion, and the cost
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), formula_seed=st.integers(0, 2**32 - 1),
+       depth=st.integers(3, 4))
+def test_memoized_evaluation_matches_recursive_oracle(seed, formula_seed, depth):
+    m = random_model(GenParams(seed=seed))
+    f = random_formula(random.Random(formula_seed), m, depth)
+    for holds, at, ext in ((dep_holds_direct, evaluate, extension),
+                           (dep_holds_by_evidence, evaluate_by_evidence,
+                            extension_by_evidence)):
+        expected = {s: recursive_eval_oracle(m, s, f, holds) for s in m.worlds}
+        assert {s: at(m, s, f) for s in m.worlds} == expected
+        assert ext(m, f) == {s for s, value in expected.items() if value}
+        if holds is dep_holds_direct:
+            assert valid_on_model(m, f) == all(expected.values())
+
+
+def test_nested_boxes_ask_each_atom_once_per_world(monkeypatch):
+    # one 30-world cell where every world agrees, so !Dl(x;y) holds everywhere;
+    # unmemoized, K^8 would ask the atom about 30^9 times
+    worlds = [f"w{i}" for i in range(30)]
+    m = load_model({"propositions": [],
+                    "variables": [{"name": "x", "hidden": False},
+                                  {"name": "y", "hidden": False}],
+                    "worlds": [{"id": w, "props": {}, "vals": {"x": 0, "y": 0}}
+                               for w in worlds],
+                    "epistemic_partition": [worlds],
+                    "nomic_partition": [worlds]})
+    f = parse_formula("K " * 8 + "!Dl({x};{y})")
+    calls = []
+
+    def counted(m, s, kind, x, y):
+        calls.append(s)
+        return dep_holds_direct(m, s, kind, x, y)
+
+    monkeypatch.setattr(semantics, "dep_holds_direct", counted)
+    assert extension(m, f) == set(worlds)
+    assert len(calls) <= 30
+    calls.clear()
+    assert evaluate(m, "w7", f)
+    assert len(calls) <= 30
+
+
+def test_box_memo_adds_no_stack_per_nesting_level(open_door):
+    # plain recursion evaluates about 320 nested boxes under the default
+    # recursion limit; the memo must not lower that
+    f = parse_formula("K " * 250 + "Dg({bar_p};{bar_r})")
+    assert evaluate(open_door, "s", f) == evaluate_by_evidence(open_door, "s", f)
+    assert extension(open_door, f) == extension_by_evidence(open_door, f)
