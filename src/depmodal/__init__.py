@@ -11,14 +11,14 @@ from .syntax import (BOT, GLOBAL, KINDS, LOCAL, TOP, All, And, DepG, DepL,
                      parse_formula, parse_varset, proper_subsets,
                      render_formula, render_varset, varset)
 from .model import KripkeModel, PointedModel, load_model, load_model_path
-from .semantics import (Verdict, check_names, dep_holds_direct, evaluate,
-                        evaluate_both, evaluate_by_evidence, extension,
-                        extension_by_evidence, valid_on_model)
+from .semantics import (check_names, dep_holds_direct, evaluate,
+                        evaluate_by_evidence, extension, extension_by_evidence,
+                        valid_on_model)
 from .dependency import (EvidenceFamily, atom_holds_from_family,
                          dep_holds_by_evidence, family, generative_family,
                          generative_sets, is_evidence, is_generative,
                          p_family, sigma)
-from .bisim import (BisimRelation, are_bisimilar, check_bisimulation,
+from .bisim import (are_bisimilar, check_bisimulation,
                     find_distinguishing_formula, greatest_bisimulation)
 from .harness import (Counterexample, GenParams, SchemaInstance,
                       SoundnessReport, draw_instances, instantiate,

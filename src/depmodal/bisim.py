@@ -15,7 +15,6 @@ worlds from models declaring different proposition sets is never bisimilar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .dependency import atom_holds_from_family, generative_sets, p_family
@@ -24,25 +23,6 @@ from .syntax import (GLOBAL, LOCAL, All, DepG, DepL, Formula, Know, Not, Prop,
                      conj_all, dep_atom, mutual_dependence, proper_subsets)
 
 Pair = tuple[str, str]
-
-
-@dataclass(frozen=True)
-class BisimRelation:
-    """A set of world pairs between two models."""
-
-    pairs: frozenset[Pair]
-
-    def __contains__(self, pair: Pair) -> bool:
-        return pair in self.pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __bool__(self) -> bool:
-        return bool(self.pairs)
-
-    def verdict(self, pair: Pair) -> bool:
-        return pair in self.pairs
 
 
 def _base_profile(m: KripkeModel, w: str, props: Iterable[str]) -> tuple:
@@ -65,12 +45,11 @@ def _transfers(m: KripkeModel, m2: KripkeModel, pairs: set[Pair],
     return True
 
 
-def check_bisimulation(m: KripkeModel, m2: KripkeModel,
-                       b: BisimRelation | Iterable[Pair]) -> bool:
-    """Whether ``b`` is a bisimulation between ``m`` and ``m2``: nonempty, and
-    every pair satisfies the proposition, generative-family, zig and zag
-    conditions."""
-    pairs = set(b.pairs if isinstance(b, BisimRelation) else b)
+def check_bisimulation(m: KripkeModel, m2: KripkeModel, b: Iterable[Pair]) -> bool:
+    """Whether the pairs ``b`` form a bisimulation between ``m`` and ``m2``:
+    nonempty, and every pair satisfies the proposition, generative-family,
+    zig and zag conditions."""
+    pairs = set(b)
     if not pairs:
         return False
     for s, s2 in pairs:
@@ -83,14 +62,15 @@ def check_bisimulation(m: KripkeModel, m2: KripkeModel,
                and _transfers(m, m2, pairs, s, s2) for s, s2 in pairs)
 
 
-def greatest_bisimulation(m: KripkeModel, m2: KripkeModel) -> BisimRelation:
-    """The largest bisimulation between the two models (possibly empty): the
-    cross-model pairs that share a cell of the stable partition."""
+def greatest_bisimulation(m: KripkeModel, m2: KripkeModel) -> frozenset[Pair]:
+    """The largest bisimulation between the two models, as the set of
+    cross-model world pairs ``(s, s2)`` that share a cell of the stable
+    partition; empty when no pair is bisimilar."""
     if set(m.propositions) != set(m2.propositions):
-        return BisimRelation(frozenset())
+        return frozenset()
     stable = _Refiner(m, m2).levels[-1]
-    return BisimRelation(frozenset((s, s2) for s in m.worlds for s2 in m2.worlds
-                                   if stable[0, s] == stable[1, s2]))
+    return frozenset((s, s2) for s in m.worlds for s2 in m2.worlds
+                     if stable[0, s] == stable[1, s2])
 
 
 def are_bisimilar(pm: PointedModel, pm2: PointedModel) -> bool:

@@ -133,6 +133,11 @@ def _extension_both(m: KripkeModel, f) -> list[str]:
     return [s for s in m.worlds if _agree(s, s in direct, s in routed)]
 
 
+def _too_deep() -> ParseError:
+    # a formula can parse and still exhaust the stack when evaluated or rendered
+    return ParseError("formula nested too deeply", 0)
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, sort_keys=True))
@@ -149,8 +154,12 @@ def cmd_check(args) -> int:
     m = load_model_path(_pick(args.model_pos, args.model_flag, "model path"))
     w = _require_world(m, _pick(args.world_pos, args.world_flag, "world"))
     f = parse_formula(_pick(args.formula_pos, args.formula_flag, "formula"))
-    value = _both(m, w, f)
-    _emit(args, {"command": "check", "world": w, "formula": render_formula(f),
+    try:
+        value = _both(m, w, f)
+        shown = render_formula(f)
+    except RecursionError:
+        raise _too_deep() from None
+    _emit(args, {"command": "check", "world": w, "formula": shown,
                  "value": value, "routes": {"direct": value, "evidence": value}},
           "true" if value else "false")
     return EXIT_OK
@@ -159,8 +168,12 @@ def cmd_check(args) -> int:
 def cmd_extension(args) -> int:
     m = load_model_path(_pick(args.model_pos, args.model_flag, "model path"))
     f = parse_formula(_pick(args.formula_pos, args.formula_flag, "formula"))
-    sat = _extension_both(m, f)
-    _emit(args, {"command": "extension", "formula": render_formula(f), "worlds": sat},
+    try:
+        sat = _extension_both(m, f)
+        shown = render_formula(f)
+    except RecursionError:
+        raise _too_deep() from None
+    _emit(args, {"command": "extension", "formula": shown, "worlds": sat},
           "\n".join(sat) if sat else "(no worlds)")
     return EXIT_OK
 
@@ -179,6 +192,7 @@ def cmd_generative(args) -> int:
         candidate = parse_varset(args.varset_pos)
         if not candidate:
             raise _UsageError("candidate set must be nonempty")
+        m._check_named(candidate)
         sig = sigma(fam, candidate)
         verdicts = {method: is_generative(fam, candidate, method)
                     for method in ("lemma", "partition", "graph")}

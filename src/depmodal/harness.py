@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import dependency, semantics
 from .model import KripkeModel
@@ -298,15 +298,7 @@ class SoundnessReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "schema_count": self.schema_count,
-            "atoms_checked": self.atoms_checked,
-            "elapsed": self.elapsed,
-            "counterexamples": [{"seed": ce.seed, "schema": ce.schema,
-                                 "instance": ce.instance, "world": ce.world}
-                                for ce in self.counterexamples],
-        }
+        return asdict(self)
 
 
 def soundness_suite(params: GenParams, trials: int) -> SoundnessReport:

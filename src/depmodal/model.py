@@ -30,19 +30,16 @@ nest.
 from __future__ import annotations
 
 import json
-import re
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import EvalError, ModelError
-from .syntax import GLOBAL, KINDS, LOCAL, RESERVED, VarSet
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+from .syntax import GLOBAL, IDENT_RE, KINDS, LOCAL, RESERVED, VarSet
 
 
 def _check_name(name: object, role: str) -> str:
-    if not isinstance(name, str) or not _IDENT_RE.match(name):
+    if not isinstance(name, str) or not IDENT_RE.fullmatch(name):
         raise ModelError(f"{role} {name!r} is not a valid identifier")
     if name in RESERVED:
         raise ModelError(f"{role} {name!r} is a reserved word")
@@ -327,7 +324,7 @@ def load_model(doc: str | dict) -> KripkeModel:
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ModelError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
@@ -393,6 +390,6 @@ def load_model_path(path) -> KripkeModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ModelError(f"cannot read model file: {e}") from None
     return load_model(text)

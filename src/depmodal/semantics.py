@@ -13,7 +13,6 @@ evaluated once per cell of its partition and reused at every world of it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import dependency
 from .errors import EvalError
@@ -22,15 +21,6 @@ from .syntax import (GLOBAL, LOCAL, All, And, DepG, DepL, Formula, Know, Not,
                      Prop, Top, VarSet)
 
 DIRECT = "direct"
-EVIDENCE = "evidence"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Truth value paired with the route that produced it."""
-
-    value: bool
-    route: str
 
 
 def dep_holds_direct(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) -> bool:
@@ -121,12 +111,6 @@ def evaluate_by_evidence(m: KripkeModel, s: str, f: Formula) -> bool:
     m._world_index(s)
     check_names(m, f)
     return _eval(m, s, f, dependency.dep_holds_by_evidence, {})
-
-
-def evaluate_both(m: KripkeModel, s: str, f: Formula) -> tuple[Verdict, Verdict]:
-    """Run both routes; callers decide what a disagreement means."""
-    return (Verdict(evaluate(m, s, f), DIRECT),
-            Verdict(evaluate_by_evidence(m, s, f), EVIDENCE))
 
 
 def _extension(m: KripkeModel, f: Formula, holds) -> set[str]:

@@ -24,6 +24,7 @@ safe.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -36,6 +37,7 @@ LOCAL = "local"
 KINDS = (GLOBAL, LOCAL)
 
 RESERVED = frozenset({"top", "bot", "K", "A", "Dg", "Dl"})
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class Formula:
@@ -170,12 +172,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         elif c in _PUNCT:
             tokens.append((_PUNCT[c], c, i))
             i += 1
-        elif c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("IDENT", text[i:j], i))
-            i = j
+        elif ident := IDENT_RE.match(text, i):
+            tokens.append(("IDENT", ident[0], i))
+            i = ident.end()
         else:
             raise ParseError(f"unexpected character {c!r}", i)
     tokens.append(("EOF", "", n))
@@ -302,9 +301,14 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse concrete syntax into the core AST (derived connectives desugared)."""
+    """Parse concrete syntax into the core AST (derived connectives desugared).
+    Input nested deeper than the interpreter stack allows is a ParseError at
+    the token where the stack ran out."""
     p = _Parser(text)
-    out = p.formula()
+    try:
+        out = p.formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", p.peek()[2]) from None
     p.done()
     return out
 

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, output shapes, and fixture replay."""
 
 import json
+import threading
 
 import pytest
 
@@ -12,6 +13,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_on_fresh_stack(capsys, *argv):
+    """``run`` on a new thread, whose stack starts empty, so how deep a
+    formula may nest does not depend on the test runner's own stack."""
+    result = []
+    t = threading.Thread(target=lambda: result.append(run(capsys, *argv)))
+    t.start()
+    t.join()
+    return result[0]
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +78,48 @@ class TestCheck:
         code, _, err = run(capsys, "check", "no/such/file.edl", "s", "top")
         assert code == 3
 
+    @pytest.mark.parametrize("text, position", [("x\u00b2", 1), ("\u00e9", 0)])
+    def test_identifiers_are_ascii(self, capsys, text, position):
+        # the grammar's IDENT, shared with the model loader
+        code, _, err = run(capsys, "check", fixture_path("open_door"), "s", text)
+        assert code == 2
+        assert err == (f"syntax error: unexpected character {text[position]!r} "
+                       f"(at position {position})\n")
+
+
+# Around each shape's largest nesting that `check` answered before deep
+# formulas were reported as syntax errors: K 328, ! 984, & 985, | 166,
+# -> 199, parentheses 197 (open_door, fresh stack, default recursion limit).
+_ATOM = "Dg({bar_p};{bar_r})"
+_TOO_DEEP = {
+    "K": "K " * 340 + _ATOM,
+    "not": "!" * 1000 + _ATOM,
+    "and": " & ".join([_ATOM] * 1000),
+    "or": " | ".join([_ATOM] * 175),
+    "implies": " -> ".join([_ATOM] * 210),
+    "parens": "(" * 210 + _ATOM + ")" * 210,
+}
+
+
+class TestDeepFormulas:
+    @pytest.mark.parametrize("command", ["check", "extension"])
+    @pytest.mark.parametrize("shape", sorted(_TOO_DEEP))
+    def test_too_deep_is_syntax_error(self, capsys, command, shape):
+        where = ["s"] if command == "check" else []
+        code, out, err = run_on_fresh_stack(capsys, command, fixture_path("open_door"),
+                                            *where, _TOO_DEEP[shape])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("syntax error: formula nested too deeply (at position ")
+
+    @pytest.mark.parametrize("text", ["K " * 250 + _ATOM, " | ".join([_ATOM] * 160)],
+                             ids=["K250", "or160"])
+    def test_deep_but_answerable(self, capsys, text):
+        code, out, _ = run_on_fresh_stack(capsys, "check", fixture_path("open_door"),
+                                          "s", text)
+        assert code == 0
+        assert out == "true\n"
+
 
 # ---------------------------------------------------------------------------
 # validate
@@ -88,6 +141,18 @@ class TestValidate:
         code, _, err = run(capsys, "validate", fixture_path(name))
         assert code == 3
         assert needle in err
+
+    @pytest.mark.parametrize("content, needle", [
+        (b"\xff\xfe{}", "cannot read model file: 'utf-8' codec"),
+        (b"[" * 200000, "invalid JSON: maximum recursion depth exceeded"),
+    ], ids=["not-utf8", "deep-json"])
+    def test_undecodable_document_is_model_error(self, capsys, tmp_path,
+                                                 content, needle):
+        path = tmp_path / "bad.edl"
+        path.write_bytes(content)
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 3
+        assert err.startswith("model error: ") and needle in err
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +198,13 @@ class TestGenerative:
         code, _, err = run(capsys, "generative", fixture_path("open_door"), "s",
                            "{}", "--kind", "g")
         assert code == 2
+
+    def test_undeclared_candidate_is_evaluation_error(self, capsys):
+        code, out, err = run(capsys, "generative", fixture_path("open_door"), "s",
+                             "{ghost}", "--kind", "g")
+        assert code == 4
+        assert out == ""
+        assert err == "evaluation error: undeclared variable 'ghost'\n"
 
 
 # ---------------------------------------------------------------------------

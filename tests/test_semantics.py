@@ -15,10 +15,9 @@ from depmodal.dependency import (dep_holds_by_evidence, generative_sets,
 from depmodal.errors import EvalError
 from depmodal.harness import GenParams, random_formula, random_model
 from depmodal.model import load_model
-from depmodal.semantics import (Verdict, dep_holds_direct, evaluate,
-                                evaluate_both, evaluate_by_evidence,
-                                extension, extension_by_evidence,
-                                valid_on_model)
+from depmodal.semantics import (dep_holds_direct, evaluate,
+                                evaluate_by_evidence, extension,
+                                extension_by_evidence, valid_on_model)
 from depmodal.syntax import (GLOBAL, LOCAL, TOP, All, DepG, DepL, Know, Not,
                              dep_atom, iff, implies, parse_formula)
 
@@ -133,11 +132,6 @@ class TestClauses:
     def test_extension_boundaries(self, open_door):
         assert extension(open_door, TOP) == set(open_door.worlds)
         assert extension(open_door, Not(TOP)) == set()
-
-    def test_evaluate_both_verdicts(self, open_door):
-        d, e = evaluate_both(open_door, "s", parse_formula("K Dg({bar_p};{bar_r})"))
-        assert d == Verdict(True, "direct")
-        assert e == Verdict(True, "evidence")
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
