@@ -6,20 +6,18 @@ formulas, and a semantic soundness harness for the axiom schemas."""
 from .errors import EvalError, ModelError, ParseError
 from .syntax import (BOT, GLOBAL, KINDS, LOCAL, TOP, All, And, DepG, DepL,
                      Formula, Know, Not, Prop, Top, VarSet, collect_dep_atoms,
-                     conj_all, dep_atom, disj, disj_all, enumerate_formulas,
-                     iff, implies, modal_depth, mutual_dependence,
-                     parse_formula, parse_varset, proper_subsets,
-                     render_formula, render_varset, varset)
+                     conj_all, dep_atom, disj, disj_all, iff, implies,
+                     mutual_dependence, parse_formula, parse_varset,
+                     proper_subsets, render_formula, render_varset)
 from .model import KripkeModel, PointedModel, load_model, load_model_path
 from .semantics import (check_names, dep_holds_direct, evaluate,
-                        evaluate_by_evidence, extension, extension_by_evidence,
-                        valid_on_model)
+                        evaluate_by_evidence, extension, extension_by_evidence)
 from .dependency import (EvidenceFamily, atom_holds_from_family,
                          dep_holds_by_evidence, family, generative_family,
                          generative_sets, is_evidence, is_generative,
                          p_family, sigma)
-from .bisim import (are_bisimilar, check_bisimulation,
-                    find_distinguishing_formula, greatest_bisimulation)
+from .bisim import (are_bisimilar, find_distinguishing_formula,
+                    greatest_bisimulation)
 from .harness import (Counterexample, GenParams, SchemaInstance,
                       SoundnessReport, draw_instances, instantiate,
                       random_formula, random_model, schema_names,

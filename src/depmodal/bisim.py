@@ -32,36 +32,6 @@ def _base_profile(m: KripkeModel, w: str, props: Iterable[str]) -> tuple:
             generative_sets(m, w, GLOBAL), generative_sets(m, w, LOCAL))
 
 
-def _transfers(m: KripkeModel, m2: KripkeModel, pairs: set[Pair],
-               s: str, s2: str) -> bool:
-    for cls, cls2 in ((m.epistemic_class(s), m2.epistemic_class(s2)),
-                      (m.nomic_class(s), m2.nomic_class(s2))):
-        for t in cls:                      # zig
-            if not any((t, t2) in pairs for t2 in cls2):
-                return False
-        for t2 in cls2:                    # zag
-            if not any((t, t2) in pairs for t in cls):
-                return False
-    return True
-
-
-def check_bisimulation(m: KripkeModel, m2: KripkeModel, b: Iterable[Pair]) -> bool:
-    """Whether the pairs ``b`` form a bisimulation between ``m`` and ``m2``:
-    nonempty, and every pair satisfies the proposition, generative-family,
-    zig and zag conditions."""
-    pairs = set(b)
-    if not pairs:
-        return False
-    for s, s2 in pairs:
-        m._world_index(s)
-        m2._world_index(s2)
-    if set(m.propositions) != set(m2.propositions):
-        return False
-    props = m.propositions
-    return all(_base_profile(m, s, props) == _base_profile(m2, s2, props)
-               and _transfers(m, m2, pairs, s, s2) for s, s2 in pairs)
-
-
 def greatest_bisimulation(m: KripkeModel, m2: KripkeModel) -> frozenset[Pair]:
     """The largest bisimulation between the two models, as the set of
     cross-model world pairs ``(s, s2)`` that share a cell of the stable

@@ -5,9 +5,9 @@ Commands take their arguments positionally or through flags (``-m/--model``,
 Exit status: 0 for a completed command (a "false" answer is still 0),
 1 when ``examples`` finds a fixture claim that does not hold, 2 for usage
 or malformed input text, 3 for model load/validation errors, 4 for
-evaluation errors such as unknown worlds or undeclared names, and 5 for an
-internal error: the two evaluation routes disagree, or any other
-unexpected exception.
+evaluation errors such as unknown worlds, undeclared names or a
+distinguishing formula nested too deeply, and 5 for an internal error: the
+two evaluation routes disagree, or any other unexpected exception.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 
 from . import fixtures
 from .bisim import find_distinguishing_formula
-from .dependency import generative_sets, is_generative, p_family, sigma
+from .dependency import METHODS, generative_sets, is_generative, p_family, sigma
 from .errors import EvalError, ModelError, ParseError
 from .harness import GenParams, soundness_suite
 from .model import KripkeModel, PointedModel, load_model_path
@@ -195,7 +195,7 @@ def cmd_generative(args) -> int:
         m._check_named(candidate)
         sig = sigma(fam, candidate)
         verdicts = {method: is_generative(fam, candidate, method)
-                    for method in ("lemma", "partition", "graph")}
+                    for method in METHODS}
         lines.append(f"sigma({render_varset(candidate)}): {_fmt_family(sig)}")
         lines.append("generative: " + " ".join(
             f"{k}={str(v).lower()}" for k, v in verdicts.items()))
@@ -215,22 +215,25 @@ def cmd_bisim(args) -> int:
     if set(m.propositions) != set(m2.propositions):
         raise EvalError("proposition signatures differ; models are not comparable")
     pm, pm2 = PointedModel(m, w), PointedModel(m2, w2)
-    # unbounded, a formula exists exactly when the points are not bisimilar
-    f = find_distinguishing_formula(pm, pm2)
-    verdict = f is None
-    if not verdict and args.depth is not None:
-        f = find_distinguishing_formula(pm, pm2, args.depth)
+    try:
+        # unbounded, a formula exists exactly when the points are not bisimilar
+        f = find_distinguishing_formula(pm, pm2)
+        verdict = f is None
+        if not verdict and args.depth is not None:
+            f = find_distinguishing_formula(pm, pm2, args.depth)
+        shown = None if f is None else render_formula(f)
+    except RecursionError:
+        raise EvalError("distinguishing formula nested too deeply") from None
     payload: dict = {"command": "bisim", "bisimilar": verdict}
     if verdict:
         _emit(args, payload, "bisimilar")
         return EXIT_OK
-    if f is None:
-        payload["distinguishing"] = None
+    payload["distinguishing"] = shown
+    if shown is None:
         _emit(args, payload,
               "not bisimilar\nno distinguishing formula within the given depth")
     else:
-        payload["distinguishing"] = render_formula(f)
-        _emit(args, payload, f"not bisimilar\ndistinguishing: {render_formula(f)}")
+        _emit(args, payload, f"not bisimilar\ndistinguishing: {shown}")
     return EXIT_OK
 
 

@@ -55,8 +55,6 @@ def family(members: Iterable[VarSet]) -> EvidenceFamily:
     return EvidenceFamily(frozenset(members))
 
 
-EMPTY_FAMILY = EvidenceFamily(frozenset())
-
 
 def is_evidence(w: VarSet, x: VarSet, y: VarSet) -> bool:
     """True iff ``w`` meets ``x``, meets ``y``, and lies inside their union."""

@@ -63,9 +63,8 @@ def fixture_names() -> list[str]:
 
 def fixture_text(name: str) -> str:
     """Raw document text of a bundled fixture (valid or invalid)."""
-    filename = (FIXTURES[name][0] if name in FIXTURES
-                else INVALID_FIXTURES[name])
-    return resources.files(__package__).joinpath(filename).read_text("utf-8")
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def fixture_path(name: str) -> str:

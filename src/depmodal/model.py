@@ -84,9 +84,11 @@ class KripkeModel:
         if len(set(self.propositions)) != len(self.propositions):
             raise ModelError("duplicate proposition names")
 
-        var_list = [(str(n), bool(h)) for n, h in variables]
-        for n, _ in var_list:
+        var_list = list(variables)
+        for n, h in var_list:
             _check_name(n, "variable")
+            if not isinstance(h, bool):
+                raise ModelError(f"variable {n!r}: 'hidden' must be a boolean")
         names = [n for n, _ in var_list]
         if len(set(names)) != len(names):
             raise ModelError("duplicate variable names")
@@ -223,18 +225,6 @@ class KripkeModel:
         with self._cache_lock:
             return self._memo_table.setdefault(key, value)
 
-    def prop_value(self, w: str, p: str) -> int:
-        self._world_index(w)
-        if p not in self.valuation[w]:
-            raise EvalError(f"undeclared proposition {p!r}")
-        return self.valuation[w][p]
-
-    def value(self, w: str, x: str) -> int:
-        i = self._world_index(w)
-        if x not in self._var_pos:
-            raise EvalError(f"undeclared variable {x!r}")
-        return self._vals[i][self._var_pos[x]]
-
     def epistemic_class(self, w: str) -> frozenset[str]:
         """The epistemic partition cell containing ``w``."""
         self._world_index(w)
@@ -299,9 +289,6 @@ class KripkeModel:
             doc["comment"] = self.comment
         return doc
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class PointedModel:
@@ -343,8 +330,6 @@ def load_model(doc: str | dict) -> KripkeModel:
         if not isinstance(entry, dict) or set(entry) != {"name", "hidden"}:
             raise ModelError(f"variable entry {entry!r} must be "
                              f'{{"name": ..., "hidden": ...}}')
-        if not isinstance(entry["hidden"], bool):
-            raise ModelError(f"variable {entry['name']!r}: 'hidden' must be a boolean")
         variables.append((entry["name"], entry["hidden"]))
 
     worlds, valuation, assignment = [], {}, {}

@@ -129,9 +129,3 @@ def extension_by_evidence(m: KripkeModel, f: Formula) -> set[str]:
     worlds' difference families."""
     return _extension(m, f, dependency.dep_holds_by_evidence)
 
-
-def valid_on_model(m: KripkeModel, f: Formula) -> bool:
-    """True iff ``f`` holds at every world of the model."""
-    check_names(m, f)
-    boxes: dict = {}
-    return all(_eval(m, s, f, dep_holds_direct, boxes) for s in m.worlds)

@@ -1,4 +1,4 @@
-"""Formula language: AST nodes, parser, renderer, and canonical generators.
+"""Formula language: AST nodes, parser, renderer, and structural helpers.
 
 Concrete grammar (whitespace-insensitive; reserved words: top, bot, K, A, Dg, Dl):
 
@@ -99,11 +99,6 @@ class DepL(Formula):
 
 TOP = Top()
 BOT = Not(TOP)
-
-
-def varset(*names: str) -> VarSet:
-    """Convenience constructor for variable sets."""
-    return frozenset(names)
 
 
 def dep_atom(kind: str, x: VarSet, y: VarSet) -> Formula:
@@ -370,19 +365,6 @@ def render_varset(s: VarSet) -> str:
 # Structural helpers
 # ---------------------------------------------------------------------------
 
-def modal_depth(f: Formula) -> int:
-    """Nesting depth of K/A boxes; dependency atoms count as depth 0."""
-    match f:
-        case Not(g):
-            return modal_depth(g)
-        case And(l, r):
-            return max(modal_depth(l), modal_depth(r))
-        case Know(g) | All(g):
-            return 1 + modal_depth(g)
-        case _:
-            return 0
-
-
 def collect_dep_atoms(f: Formula) -> set[tuple[str, VarSet, VarSet]]:
     """All dependency atoms occurring in ``f`` as (kind, left, right) triples."""
     out: set[tuple[str, VarSet, VarSet]] = set()
@@ -422,39 +404,3 @@ def mutual_dependence(kind: str, w: VarSet) -> Formula:
         return dep_atom(kind, w, w)
     return conj_all(dep_atom(kind, z, w - z) for z in proper_subsets(w))
 
-
-def enumerate_formulas(props: Iterable[str], varsets: Iterable[VarSet],
-                       depth: int) -> Iterator[Formula]:
-    """Canonical, duplicate-free stream of formulas of modal depth <= depth.
-
-    Atoms are top, the given propositions, and both dependency atoms over
-    every ordered pair of the given variable sets.  Each level consists of
-    top, its negation, and conjunctions (in a fixed order, so conjunction is
-    commutativity-canonical) of nonempty literal subsets, where the literal
-    pool at depth d+1 adds K/A literals over the full depth-d level.  The
-    family is finite for any fixed signature and grows doubly exponentially
-    with depth; it is meant for small signatures.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    atoms: list[Formula] = [Prop(p) for p in sorted(set(props))]
-    vsets = sorted(set(varsets), key=lambda s: (len(s), sorted(s)))
-    for x in vsets:
-        for y in vsets:
-            atoms.append(DepG(x, y))
-            atoms.append(DepL(x, y))
-
-    def level(d: int) -> Iterator[Formula]:
-        pool: list[Formula] = []
-        for a in atoms:
-            pool.extend((a, Not(a)))
-        if d > 0:
-            for f in level(d - 1):
-                pool.extend((Know(f), Not(Know(f)), All(f), Not(All(f))))
-        yield TOP
-        yield Not(TOP)
-        for mask in range(1, 1 << len(pool)):
-            chosen = [pool[i] for i in range(len(pool)) if mask >> i & 1]
-            yield conj_all(chosen)
-
-    return level(depth)

@@ -3,9 +3,11 @@
 These deliberately avoid the production code paths they are checking:
 generativity is decided straight from its defining quantification over
 argument-set covers, generative families are recomputed by enumerating
-connected sub-collections of the family, the greatest bisimulation is
+connected sub-collections of the family, a relation is checked to be a
+bisimulation pair by pair from the definition, the greatest bisimulation is
 recomputed by deleting pairs until every survivor transfers, and formulas are
-evaluated by plain recursion with no memo of box values.
+evaluated by plain recursion with no memo of box values.  ``modal_depth``
+measures the distinguishing formulas under test.
 """
 
 import itertools
@@ -68,6 +70,16 @@ def random_family(rng: random.Random, max_support: int = 6,
     return EvidenceFamily(frozenset(members))
 
 
+def bisimulation_oracle(m, m2, pairs) -> bool:
+    """Whether ``pairs`` is a bisimulation between ``m`` and ``m2``: nonempty,
+    a shared proposition signature, and every pair meets the base conditions
+    and transfers along both relations."""
+    pairs = set(pairs)
+    return (bool(pairs) and set(m.propositions) == set(m2.propositions)
+            and all(_base_match(m, m2, s, s2) and _transfers(m, m2, pairs, s, s2)
+                    for s, s2 in pairs))
+
+
 def pair_deletion_oracle(m, m2) -> frozenset:
     """The pairs of the greatest bisimulation between two models: start from
     all pairs passing the base conditions, then delete pairs whose zig or zag
@@ -104,6 +116,19 @@ def _transfers(m, m2, pairs, s, s2) -> bool:
             if not any((t, t2) in pairs for t in cls):
                 return False
     return True
+
+
+def modal_depth(f) -> int:
+    """Nesting depth of K/A boxes; dependency atoms count as depth 0."""
+    match f:
+        case Not(g):
+            return modal_depth(g)
+        case And(l, r):
+            return max(modal_depth(l), modal_depth(r))
+        case Know(g) | All(g):
+            return 1 + modal_depth(g)
+        case _:
+            return 0
 
 
 def recursive_eval_oracle(m, s, f, holds) -> bool:

@@ -19,10 +19,10 @@ from depmodal.dependency import (METHODS, dep_holds_by_evidence,
 from depmodal.harness import GenParams, random_model, soundness_suite, ROUTE_CHECK
 from depmodal.model import PointedModel, load_model
 from depmodal.semantics import evaluate, evaluate_by_evidence
-from depmodal.syntax import (GLOBAL, LOCAL, DepL, dep_atom, modal_depth,
-                             parse_formula)
+from depmodal.syntax import GLOBAL, LOCAL, DepL, dep_atom, parse_formula
 
-from oracles import cover_oracle, pair_deletion_oracle, random_family
+from oracles import (cover_oracle, modal_depth, pair_deletion_oracle,
+                     random_family)
 
 
 @contextmanager

@@ -231,6 +231,24 @@ class TestBisim:
         assert code == 4
         assert "signatures differ" in err
 
+    # n worlds, p only at the last, epistemic cells {w0,w1},{w2,w3},... and
+    # nomic cells {w0},{w1,w2},...: w0 and w1 first split at modal depth n - 2
+    @pytest.mark.parametrize("n, expected", [
+        (40, (0, "not bisimilar\ndistinguishing: " + "A !!K !!" * 18 + "A !!K !p\n", "")),
+        (400, (4, "", "evaluation error: distinguishing formula nested too deeply\n")),
+    ])
+    def test_long_chain(self, capsys, tmp_path, n, expected):
+        ws = [f"w{i}" for i in range(n)]
+        path = tmp_path / "chain.edl"
+        path.write_text(json.dumps({
+            "propositions": ["p"], "variables": [],
+            "worlds": [{"id": w, "props": {"p": int(w == ws[-1])}, "vals": {}}
+                       for w in ws],
+            "epistemic_partition": [ws[i:i + 2] for i in range(0, n, 2)],
+            "nomic_partition": [ws[:1]] + [ws[i:i + 2] for i in range(1, n, 2)]}))
+        path = str(path)
+        assert run_on_fresh_stack(capsys, "bisim", path, "w0", path, "w1") == expected
+
     def test_flag_form(self, capsys):
         path = fixture_path("dl_strictness_witness")
         code, out, _ = run(capsys, "bisim", "-m", path, "-w", "a",
@@ -254,7 +272,8 @@ class TestBisim:
     def test_depth(self, capsys, first, second, depth, code, bisimilar, modal):
         from depmodal.model import load_model_path
         from depmodal.semantics import evaluate
-        from depmodal.syntax import modal_depth, parse_formula
+        from depmodal.syntax import parse_formula
+        from oracles import modal_depth
 
         (n1, w1), (n2, w2) = first, second
         got, out, err = run(capsys, "bisim", fixture_path(n1), w1, fixture_path(n2),

@@ -8,6 +8,7 @@ import io
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +109,19 @@ def test_near_valid_documents_end_in_a_documented_code(tmp_path_factory, edits):
         code, err = run_cli(*argv)
         assert code in (0, 2, 3, 4), (edits, argv, err)
         assert not err.startswith("internal error"), (edits, argv, err)
+
+
+@pytest.mark.parametrize("name, hidden", [(None, False), (True, False), ("x", 0)])
+def test_variable_entries_are_not_coerced(tmp_path, name, hidden):
+    # coerced, these would load as variables named None and True
+    path = tmp_path / "retyped.edl"
+    path.write_text(json.dumps({
+        "propositions": [], "variables": [{"name": name, "hidden": hidden}],
+        "worlds": [{"id": "w", "props": {}, "vals": {str(name): 0}}],
+        "epistemic_partition": [["w"]], "nomic_partition": [["w"]]}))
+    for argv in (("validate", str(path)), ("check", str(path), "w", f"Dl({name};{name})")):
+        code, err = run_cli(*argv)
+        assert code == 3 and err.startswith("model error: variable"), (argv, err)
 
 
 @FUZZ

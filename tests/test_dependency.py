@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from depmodal.dependency import (EMPTY_FAMILY, EvidenceFamily, METHODS,
+from depmodal.dependency import (EvidenceFamily, METHODS,
                                  dep_holds_by_evidence, family,
                                  generative_family, generative_sets,
                                  is_evidence, is_generative, p_family, sigma)
@@ -79,8 +79,8 @@ class TestPFamily:
             "epistemic_partition": [["a", "b"]],
             "nomic_partition": [["a"], ["b"]],
         })
-        assert p_family(m, "a", GLOBAL) == EMPTY_FAMILY
-        assert p_family(m, "a", LOCAL) == EMPTY_FAMILY
+        assert p_family(m, "a", GLOBAL) == family(())
+        assert p_family(m, "a", LOCAL) == family(())
 
     def test_members_nonempty_and_named(self, witness):
         for w in witness.worlds:
@@ -103,11 +103,11 @@ class TestSigma:
         p = fam({"x"}, {"x", "y"})
         assert sigma(p, vs("x", "y")) == {vs("x"), vs("x", "y")}
         assert sigma(fam({"x"}, {"y", "z"}), vs("x", "y")) == {vs("x")}
-        assert sigma(EMPTY_FAMILY, vs("x")) == frozenset()
+        assert sigma(family(()), vs("x")) == frozenset()
 
     def test_empty_candidate_rejected(self):
         with pytest.raises(ValueError):
-            sigma(EMPTY_FAMILY, frozenset())
+            sigma(family(()), frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ class TestIsGenerative:
 
     def test_empty_candidate_rejected(self):
         with pytest.raises(ValueError):
-            is_generative(EMPTY_FAMILY, frozenset())
+            is_generative(family(()), frozenset())
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -166,7 +166,7 @@ class TestGenerativeFamily:
         assert generative_family(fam({"x"}, {"x", "y"})).members == \
             {vs("x"), vs("x", "y")}
         assert generative_family(fam({"x"}, {"y"})).members == {vs("x"), vs("y")}
-        assert generative_family(EMPTY_FAMILY).members == frozenset()
+        assert generative_family(family(())).members == frozenset()
 
     def test_equals_connected_union_oracle(self):
         rng = random.Random(42)

@@ -38,8 +38,8 @@ class TestLoad:
         assert open_door.named_variables == ("bar_p", "bar_q", "bar_r")
         assert open_door.hidden_variables == ()
         assert open_door.mirrors == {"p": "bar_p", "q": "bar_q", "r": "bar_r"}
-        assert open_door.value("s", "bar_r") == 1
-        assert open_door.prop_value("w4", "r") == 0
+        assert open_door.assignment["s"]["bar_r"] == 1
+        assert open_door.valuation["w4"]["r"] == 0
 
     def test_roundtrip_through_to_dict(self, open_door):
         again = load_model(json.dumps(open_door.to_dict()))
@@ -144,7 +144,7 @@ class TestLoad:
             load_model(doc)
         doc["mirrors"] = {"x": "x"}
         m = load_model(doc)   # x mirrors itself: values already line up
-        assert m.value("v", "x") == m.prop_value("v", "x") == 1
+        assert m.assignment["v"]["x"] == m.valuation["v"]["x"] == 1
 
     def test_zero_worlds_rejected(self):
         doc = tiny_model(worlds=[], epistemic_partition=[], nomic_partition=[])
@@ -305,4 +305,4 @@ def test_constructor_direct_use():
         epistemic_partition=[["a"]],
         nomic_partition=[["a"]],
     )
-    assert m.value("a", "x") == 5
+    assert m.assignment["a"]["x"] == 5

@@ -17,7 +17,7 @@ from depmodal.harness import GenParams, random_formula, random_model
 from depmodal.model import load_model
 from depmodal.semantics import (dep_holds_direct, evaluate,
                                 evaluate_by_evidence, extension,
-                                extension_by_evidence, valid_on_model)
+                                extension_by_evidence)
 from depmodal.syntax import (GLOBAL, LOCAL, TOP, All, DepG, DepL, Know, Not,
                              dep_atom, iff, implies, parse_formula)
 
@@ -26,6 +26,10 @@ from oracles import recursive_eval_oracle
 
 def vs(*names):
     return frozenset(names)
+
+
+def valid_on_model(m, f):
+    return extension(m, f) == set(m.worlds)
 
 
 def check(m, world, text):

@@ -5,9 +5,10 @@ import pytest
 
 from depmodal.errors import ParseError
 from depmodal.syntax import (GLOBAL, LOCAL, TOP, All, And, DepG, DepL, Know,
-                             Not, Prop, enumerate_formulas, modal_depth,
-                             mutual_dependence, parse_formula, parse_varset,
-                             proper_subsets, render_formula, varset)
+                             Not, Prop, mutual_dependence, parse_formula,
+                             parse_varset, proper_subsets, render_formula)
+
+from oracles import modal_depth
 
 
 def vs(*names):
@@ -116,10 +117,6 @@ class TestRender:
             f = build(rng.randint(0, 5))
             assert parse_formula(render_formula(f)) == f
 
-    def test_roundtrip_enumerated(self):
-        for f in enumerate_formulas({"p"}, {vs("x")}, 0):
-            assert parse_formula(render_formula(f)) == f
-
 
 # ---------------------------------------------------------------------------
 # Interdependent-block formulas
@@ -170,47 +167,6 @@ class TestMutualDependence:
 
 
 # ---------------------------------------------------------------------------
-# Canonical enumeration
-# ---------------------------------------------------------------------------
-
-class TestEnumerate:
-    def test_no_atoms_depth0(self):
-        assert set(enumerate_formulas(set(), set(), 0)) == {TOP, Not(TOP)}
-
-    def test_single_prop_includes_literals_and_clash(self):
-        out = set(enumerate_formulas({"p"}, set(), 0))
-        p = Prop("p")
-        assert {p, Not(p), And(p, Not(p))} <= out
-
-    def test_dep_atoms_and_duals_present(self):
-        out = set(enumerate_formulas(set(), {vs("x"), vs("y")}, 0))
-        assert DepG(vs("x"), vs("y")) in out
-        assert DepL(vs("x"), vs("y")) in out
-        assert Not(DepG(vs("x"), vs("y"))) in out
-        assert Not(DepL(vs("x"), vs("y"))) in out
-
-    def test_duplicate_free(self):
-        out = list(enumerate_formulas({"p"}, {vs("x")}, 0))
-        assert len(out) == len(set(out))
-
-    def test_finite_and_monotone_in_depth(self):
-        counts = [sum(1 for _ in enumerate_formulas(set(), set(), d))
-                  for d in (0, 1)]
-        assert counts[0] == 2
-        assert counts[0] < counts[1]
-        # depth-1 pool: 8 modal literals over {top, !top} -> 2 + (2^8 - 1)
-        assert counts[1] == 2 + 2 ** 8 - 1
-
-    def test_depth_bound_respected(self):
-        for f in itertools.islice(enumerate_formulas({"p"}, set(), 1), 2000):
-            assert modal_depth(f) <= 1
-
-    def test_negative_depth_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_formulas(set(), set(), -1)
-
-
-# ---------------------------------------------------------------------------
 # Structure helpers
 # ---------------------------------------------------------------------------
 
@@ -218,11 +174,6 @@ def test_modal_depth():
     f = parse_formula("K (A p -> Dg({x};{y}))")
     assert modal_depth(f) == 2
     assert modal_depth(parse_formula("Dl({x};{y})")) == 0
-
-
-def test_varset_helper():
-    assert varset("a", "b") == vs("a", "b")
-    assert varset() == frozenset()
 
 
 def test_formulas_hashable_and_immutable():
