@@ -16,8 +16,7 @@ from .dependency import (EvidenceFamily, atom_holds_from_family,
                          dep_holds_by_evidence, family, generative_family,
                          generative_sets, is_evidence, is_generative,
                          p_family, sigma)
-from .bisim import (are_bisimilar, find_distinguishing_formula,
-                    greatest_bisimulation)
+from .bisim import find_distinguishing_formula, greatest_bisimulation
 from .harness import (Counterexample, GenParams, SchemaInstance,
                       SoundnessReport, draw_instances, instantiate,
                       random_formula, random_model, schema_names,

@@ -43,11 +43,6 @@ def greatest_bisimulation(m: KripkeModel, m2: KripkeModel) -> frozenset[Pair]:
                      if stable[0, s] == stable[1, s2])
 
 
-def are_bisimilar(pm: PointedModel, pm2: PointedModel) -> bool:
-    """Whether some bisimulation links the two points."""
-    return (pm.point, pm2.point) in greatest_bisimulation(pm.model, pm2.model)
-
-
 # ---------------------------------------------------------------------------
 # Partition refinement and distinguishing formulas
 # ---------------------------------------------------------------------------

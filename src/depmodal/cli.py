@@ -8,11 +8,15 @@ or malformed input text, 3 for model load/validation errors, 4 for
 evaluation errors such as unknown worlds, undeclared names or a
 distinguishing formula nested too deeply, and 5 for an internal error: the
 two evaluation routes disagree, or any other unexpected exception.
+
+The argument parser is built once per process and reused by every ``main``
+call; argparse keeps no state between ``parse_args`` calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,7 +28,7 @@ from .harness import GenParams, soundness_suite
 from .model import KripkeModel, PointedModel, load_model_path
 from .semantics import (evaluate, evaluate_by_evidence, extension,
                         extension_by_evidence)
-from .syntax import (GLOBAL, LOCAL, parse_formula, parse_varset,
+from .syntax import (GLOBAL, LOCAL, modal_depth, parse_formula, parse_varset,
                      render_formula, render_varset)
 
 EXIT_OK = 0
@@ -44,7 +48,9 @@ class _RouteDisagreement(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="depmodal",
         description="Check dependency-epistemic formulas on finite two-relation "
@@ -216,11 +222,15 @@ def cmd_bisim(args) -> int:
         raise EvalError("proposition signatures differ; models are not comparable")
     pm, pm2 = PointedModel(m, w), PointedModel(m2, w2)
     try:
-        # unbounded, a formula exists exactly when the points are not bisimilar
+        # unbounded, a formula exists exactly when the points are not
+        # bisimilar, and its modal depth is their split level
         f = find_distinguishing_formula(pm, pm2)
         verdict = f is None
         if not verdict and args.depth is not None:
-            f = find_distinguishing_formula(pm, pm2, args.depth)
+            if args.depth < 0:
+                raise ValueError("depth must be >= 0")
+            if modal_depth(f) > args.depth:
+                f = None
         shown = None if f is None else render_formula(f)
     except RecursionError:
         raise EvalError("distinguishing formula nested too deeply") from None

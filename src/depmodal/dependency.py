@@ -67,12 +67,14 @@ def p_family(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
     ``s`` itself for the local kind.  The local family is always a subset of
     the global one."""
     def compute() -> EvidenceFamily:
-        cls = m.nomic_class(s)
+        # worlds with equal rows differ nowhere, so distinct rows suffice
+        rows = {m._row[t] for t in m.nomic_class(s)}
         if kind == GLOBAL:
-            # delta is symmetric and empty on (u, u)
-            members = {m.delta(u, v) for u, v in itertools.combinations(cls, 2)}
+            # the difference set is symmetric and empty on (u, u)
+            members = {m._delta(u, v) for u, v in itertools.combinations(rows, 2)}
         else:
-            members = {m.delta(t, s) for t in cls}
+            own = m._row[s]
+            members = {m._delta(u, own) for u in rows}
         members.discard(frozenset())
         return EvidenceFamily(frozenset(members))
     return m._memo(("family", kind, m._anchor(s, kind)), compute)
@@ -89,10 +91,12 @@ def dep_holds_by_evidence(m: KripkeModel, s: str, kind: str,
                           x: VarSet, y: VarSet) -> bool:
     """Dependency-atom truth via the evidence route: search the world's
     difference family for an evidence of the pair."""
-    m._check_named(x)
-    m._check_named(y)
-    return m._memo(("evidence", kind, x, y, m._anchor(s, kind)),
-                   lambda: atom_holds_from_family(p_family(m, s, kind), x, y))
+    def compute() -> bool:
+        # a stored entry implies its names passed: x and y are in its key
+        m._check_named(x)
+        m._check_named(y)
+        return atom_holds_from_family(p_family(m, s, kind), x, y)
+    return m._memo(("evidence", kind, x, y, m._anchor(s, kind)), compute)
 
 
 def sigma(p: EvidenceFamily, w: VarSet) -> frozenset[VarSet]:

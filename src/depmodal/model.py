@@ -24,7 +24,11 @@ value must equal the proposition's truth value.  Models are immutable after
 construction; read-only sharing across threads is safe.  Derived answers
 (dependency atoms, difference and generative families) are cached per model
 by their anchor, and computed outside the cache lock because computations
-nest.
+nest.  A global answer is anchored at the world's nomic class.  A local
+answer reads only the world's nomic class and its row of variable values, so
+it is anchored at the world's representative: the first world in model order
+with the same nomic class and the same row.  Worlds with equal rows in one
+class share every local answer.
 """
 
 from __future__ import annotations
@@ -151,16 +155,19 @@ class KripkeModel:
                         f"mirror violation at world {w!r}: proposition {p!r} is "
                         f"{t} but variable {x!r} is {u}")
 
-        # internal lookup structures for the evaluation hot path
-        order = all_vars
-        self._var_pos = {x: i for i, x in enumerate(order)}
-        self._vals = tuple(tuple(self.assignment[w][x] for x in order) for w in self.worlds)
-        self._var_enum = tuple(enumerate(order))
+        # internal lookup structures for the evaluation hot path: each
+        # world's row of values, in ``_var_pos`` order
+        self._var_pos = {x: i for i, x in enumerate(all_vars)}
+        self._row = {w: tuple(self.assignment[w][x] for x in all_vars)
+                     for w in self.worlds}
         self._named_set = frozenset(self.named_variables)
         self._named_enum = tuple((self._var_pos[x], x) for x in self.named_variables)
         self._hidden_idx = tuple(self._var_pos[x] for x in self.hidden_variables)
         self._epi_cell = {w: cell for cell in self.epistemic_partition for w in cell}
         self._nomic_cell = {w: cell for cell in self.nomic_partition for w in cell}
+        first: dict = {}
+        self._local_rep = {w: first.setdefault((self._nomic_cell[w], self._row[w]), w)
+                           for w in self.worlds}
 
         self._cache_lock = threading.Lock()
         self._memo_table: dict = {}
@@ -193,11 +200,16 @@ class KripkeModel:
 
     # -- queries ----------------------------------------------------------
 
-    def _world_index(self, w: str) -> int:
+    @staticmethod
+    def _at(table: dict, w: str):
+        """``table[w]`` for a per-world table; ``EvalError`` for an unknown world."""
         try:
-            return self._widx[w]
+            return table[w]
         except KeyError:
             raise EvalError(f"unknown world {w!r}") from None
+
+    def _world_index(self, w: str) -> int:
+        return self._at(self._widx, w)
 
     def _check_named(self, xs: VarSet) -> None:
         bad = xs - self._named_set
@@ -206,12 +218,13 @@ class KripkeModel:
 
     def _anchor(self, s: str, kind: str) -> frozenset[str] | str:
         """What an answer of ``kind`` at ``s`` depends on: the nomic class for
-        the global kind, the world itself for the local kind."""
+        the global kind; for the local kind, the representative of ``s``, the
+        first world in model order with the same nomic class and the same row
+        of values."""
         if kind == GLOBAL:
             return self.nomic_class(s)
         if kind == LOCAL:
-            self._world_index(s)
-            return s
+            return self._at(self._local_rep, s)
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
     def _memo(self, key: tuple, compute):
@@ -227,42 +240,15 @@ class KripkeModel:
 
     def epistemic_class(self, w: str) -> frozenset[str]:
         """The epistemic partition cell containing ``w``."""
-        self._world_index(w)
-        return self._epi_cell[w]
+        return self._at(self._epi_cell, w)
 
     def nomic_class(self, w: str) -> frozenset[str]:
         """The nomic partition cell containing ``w``."""
-        self._world_index(w)
-        return self._nomic_cell[w]
+        return self._at(self._nomic_cell, w)
 
-    def agree_outside(self, u: str, v: str, xy: VarSet) -> bool:
-        """True iff every variable (named or hidden) outside ``xy`` takes the
-        same value at ``u`` and ``v``."""
-        self._check_named(xy)
-        vu = self._vals[self._world_index(u)]
-        vv = self._vals[self._world_index(v)]
-        for i, name in self._var_enum:
-            if vu[i] != vv[i] and name not in xy:
-                return False
-        return True
-
-    def differs_on(self, u: str, v: str, xs: VarSet) -> bool:
-        """True iff some member of ``xs`` takes different values at ``u`` and
-        ``v``; false for the empty set."""
-        self._check_named(xs)
-        vu = self._vals[self._world_index(u)]
-        vv = self._vals[self._world_index(v)]
-        pos = self._var_pos
-        for x in xs:
-            if vu[pos[x]] != vv[pos[x]]:
-                return True
-        return False
-
-    def delta(self, u: str, v: str) -> VarSet:
-        """Named variables on which ``u`` and ``v`` differ, provided they agree
-        on every hidden variable; the empty set otherwise."""
-        vu = self._vals[self._world_index(u)]
-        vv = self._vals[self._world_index(v)]
+    def _delta(self, vu: tuple, vv: tuple) -> VarSet:
+        """Named variables on which rows ``vu`` and ``vv`` differ, provided
+        they agree on every hidden variable; the empty set otherwise."""
         for i in self._hidden_idx:
             if vu[i] != vv[i]:
                 return frozenset()

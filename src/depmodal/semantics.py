@@ -13,6 +13,7 @@ evaluated once per cell of its partition and reused at every world of it.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from . import dependency
 from .errors import EvalError
@@ -25,23 +26,34 @@ DIRECT = "direct"
 
 def dep_holds_direct(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) -> bool:
     """Dependency-atom truth by literal pair search over the nomic class."""
-    m._check_named(x)
-    m._check_named(y)
-    return m._memo((DIRECT, kind, x, y, m._anchor(s, kind)),
-                   lambda: _dep_direct_search(m, s, kind, x, y))
+    def compute() -> bool:
+        # a stored entry implies its names passed: x and y are in its key
+        m._check_named(x)
+        m._check_named(y)
+        return _dep_direct_search(m, s, kind, x, y)
+    return m._memo((DIRECT, kind, x, y, m._anchor(s, kind)), compute)
 
 
 def _dep_direct_search(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) -> bool:
-    xy = x | y
     cls = m.nomic_class(s)
+    if not (x and y) or len(cls) < 2:
+        # an empty side never differs, and a lone world has no partner
+        return False
+    pos = m._var_pos
+    on_x = operator.itemgetter(*(pos[v] for v in x))
+    on_y = operator.itemgetter(*(pos[v] for v in y))
+    outside = [i for v, i in pos.items() if v not in x and v not in y]
+    off_xy = operator.itemgetter(*outside) if outside else (lambda row: ())
+    rows = [m._row[t] for t in cls]
     if kind == GLOBAL:
         # the conditions are symmetric in (u, v) and fail on (u, u)
-        pairs = itertools.combinations(cls, 2)
+        pairs = itertools.combinations(rows, 2)
     else:
-        pairs = ((t, s) for t in cls)
+        own = m._row[s]
+        pairs = ((t, own) for t in rows)
     for u, v in pairs:
-        if (m.differs_on(u, v, x) and m.differs_on(u, v, y)
-                and m.agree_outside(u, v, xy)):
+        # differ somewhere in x, somewhere in y, and agree outside x | y
+        if on_x(u) != on_x(v) and on_y(u) != on_y(v) and off_xy(u) == off_xy(v):
             return True
     return False
 
@@ -85,7 +97,8 @@ def _eval(m: KripkeModel, s: str, f: Formula, holds, boxes: dict) -> bool:
         case And(l, r):
             return _eval(m, s, l, holds, boxes) and _eval(m, s, r, holds, boxes)
         case Know(g) | All(g):
-            cell = (m.epistemic_class if type(f) is Know else m.nomic_class)(s)
+            # s was validated at entry
+            cell = (m._epi_cell if type(f) is Know else m._nomic_cell)[s]
             key = (id(f), cell)
             value = boxes.get(key)
             if value is None:

@@ -365,6 +365,24 @@ def render_varset(s: VarSet) -> str:
 # Structural helpers
 # ---------------------------------------------------------------------------
 
+def modal_depth(f: Formula) -> int:
+    """Nesting depth of K/A boxes; atoms count as depth 0.  Iterative, so any
+    formula that could be built can be measured."""
+    deepest, stack = 0, [(f, 0)]
+    while stack:
+        g, depth = stack.pop()
+        match g:
+            case Not(h):
+                stack.append((h, depth))
+            case And(l, r):
+                stack.extend(((l, depth), (r, depth)))
+            case Know(h) | All(h):
+                stack.append((h, depth + 1))
+            case _:
+                deepest = max(deepest, depth)
+    return deepest
+
+
 def collect_dep_atoms(f: Formula) -> set[tuple[str, VarSet, VarSet]]:
     """All dependency atoms occurring in ``f`` as (kind, left, right) triples."""
     out: set[tuple[str, VarSet, VarSet]] = set()

@@ -6,14 +6,18 @@ argument-set covers, generative families are recomputed by enumerating
 connected sub-collections of the family, a relation is checked to be a
 bisimulation pair by pair from the definition, the greatest bisimulation is
 recomputed by deleting pairs until every survivor transfers, and formulas are
-evaluated by plain recursion with no memo of box values.  ``modal_depth``
-measures the distinguishing formulas under test.
+evaluated by plain recursion with no memo of box values.  Difference sets
+and the agreement conditions of the dependency clauses are read pair by pair
+from the model's assignment.  ``are_bisimilar`` reads one pair off the
+greatest bisimulation.
 """
 
 import itertools
 import random
 
+from depmodal.bisim import greatest_bisimulation
 from depmodal.dependency import EvidenceFamily, generative_sets, is_evidence
+from depmodal.errors import EvalError
 from depmodal.syntax import (GLOBAL, LOCAL, All, And, DepG, DepL, Know, Not,
                              Prop, Top)
 
@@ -70,6 +74,11 @@ def random_family(rng: random.Random, max_support: int = 6,
     return EvidenceFamily(frozenset(members))
 
 
+def are_bisimilar(pm, pm2) -> bool:
+    """Whether some bisimulation links the two pointed models."""
+    return (pm.point, pm2.point) in greatest_bisimulation(pm.model, pm2.model)
+
+
 def bisimulation_oracle(m, m2, pairs) -> bool:
     """Whether ``pairs`` is a bisimulation between ``m`` and ``m2``: nonempty,
     a shared proposition signature, and every pair meets the base conditions
@@ -118,17 +127,42 @@ def _transfers(m, m2, pairs, s, s2) -> bool:
     return True
 
 
-def modal_depth(f) -> int:
-    """Nesting depth of K/A boxes; dependency atoms count as depth 0."""
-    match f:
-        case Not(g):
-            return modal_depth(g)
-        case And(l, r):
-            return max(modal_depth(l), modal_depth(r))
-        case Know(g) | All(g):
-            return 1 + modal_depth(g)
-        case _:
-            return 0
+def _values(m, w) -> dict:
+    if w not in m.assignment:
+        raise EvalError(f"unknown world {w!r}")
+    return m.assignment[w]
+
+
+def _declared(m, xs) -> None:
+    bad = sorted(set(xs) - set(m.named_variables))
+    if bad:
+        raise EvalError(f"undeclared variable {bad[0]!r}")
+
+
+def delta(m, u, v) -> frozenset:
+    """Named variables on which ``u`` and ``v`` differ, provided they agree on
+    every hidden variable; the empty set otherwise."""
+    au, av = _values(m, u), _values(m, v)
+    if any(au[h] != av[h] for h in m.hidden_variables):
+        return frozenset()
+    return frozenset(x for x in m.named_variables if au[x] != av[x])
+
+
+def differs_on(m, u, v, xs) -> bool:
+    """True iff some member of ``xs`` takes different values at ``u`` and
+    ``v``; false for the empty set."""
+    _declared(m, xs)
+    au, av = _values(m, u), _values(m, v)
+    return any(au[x] != av[x] for x in xs)
+
+
+def agree_outside(m, u, v, xy) -> bool:
+    """True iff every variable (named or hidden) outside ``xy`` takes the
+    same value at ``u`` and ``v``."""
+    _declared(m, xy)
+    au, av = _values(m, u), _values(m, v)
+    return all(au[x] == av[x] for x in m.named_variables + m.hidden_variables
+               if x not in xy)
 
 
 def recursive_eval_oracle(m, s, f, holds) -> bool:

@@ -11,18 +11,18 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from depmodal import fixtures, semantics
-from depmodal.bisim import (are_bisimilar, find_distinguishing_formula,
-                            greatest_bisimulation)
+from depmodal.bisim import find_distinguishing_formula, greatest_bisimulation
 from depmodal.cli import main
 from depmodal.dependency import (METHODS, dep_holds_by_evidence,
                                  generative_family, is_generative, p_family)
 from depmodal.harness import GenParams, random_model, soundness_suite, ROUTE_CHECK
 from depmodal.model import PointedModel, load_model
 from depmodal.semantics import evaluate, evaluate_by_evidence
-from depmodal.syntax import GLOBAL, LOCAL, DepL, dep_atom, parse_formula
+from depmodal.syntax import (GLOBAL, LOCAL, DepL, dep_atom, modal_depth,
+                             parse_formula)
 
-from oracles import (cover_oracle, modal_depth, pair_deletion_oracle,
-                     random_family)
+from oracles import (are_bisimilar, cover_oracle, differs_on,
+                     pair_deletion_oracle, random_family)
 
 
 @contextmanager
@@ -103,7 +103,7 @@ def test_criterion_3_axiom_soundness(monkeypatch):
                 pairs = ((u, v) for u in cls for v in cls)
             else:
                 pairs = ((t, s) for t in cls)
-            return any(m.differs_on(u, v, x) and m.differs_on(u, v, y)
+            return any(differs_on(m, u, v, x) and differs_on(m, u, v, y)
                        for u, v in pairs)
 
         with monkeypatch.context() as mp:

@@ -4,15 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from depmodal.bisim import (are_bisimilar, find_distinguishing_formula,
-                            greatest_bisimulation)
+from depmodal.bisim import find_distinguishing_formula, greatest_bisimulation
 from depmodal.dependency import atom_holds_from_family, generative_sets, p_family
 from depmodal.harness import GenParams, random_model
 from depmodal.model import PointedModel, load_model
 from depmodal.semantics import evaluate
-from depmodal.syntax import GLOBAL, LOCAL, DepL, Prop, dep_atom
+from depmodal.syntax import GLOBAL, LOCAL, DepL, Prop, dep_atom, modal_depth
 
-from oracles import bisimulation_oracle, modal_depth
+from oracles import are_bisimilar, bisimulation_oracle
 
 
 def vs(*names):

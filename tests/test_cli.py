@@ -258,6 +258,23 @@ class TestBisim:
         assert data["bisimilar"] is False
         assert data["distinguishing"] == "Dl({y};{y})"
 
+    @pytest.mark.parametrize("depth", [[], ["--depth", "0"], ["--depth", "1"]])
+    def test_one_refinement_per_command(self, capsys, monkeypatch, depth):
+        from depmodal import bisim
+
+        built = []
+
+        class Counted(bisim._Refiner):
+            def __init__(self, *models):
+                built.append(models)
+                super().__init__(*models)
+
+        monkeypatch.setattr(bisim, "_Refiner", Counted)
+        code, _, _ = run(capsys, "bisim", fixture_path("experiment_2runs"), "w1",
+                         fixture_path("experiment_3runs"), "w1", *depth)
+        assert code == 0
+        assert len(built) == 1
+
     # experiment_2runs w1 and experiment_3runs w1 first split at level 1
     @pytest.mark.parametrize("first, second, depth, code, bisimilar, modal", [
         (("dl_strictness_witness", "a"), ("dl_strictness_witness", "b"), 0, 0, False, 0),
@@ -272,8 +289,7 @@ class TestBisim:
     def test_depth(self, capsys, first, second, depth, code, bisimilar, modal):
         from depmodal.model import load_model_path
         from depmodal.semantics import evaluate
-        from depmodal.syntax import parse_formula
-        from oracles import modal_depth
+        from depmodal.syntax import modal_depth, parse_formula
 
         (n1, w1), (n2, w2) = first, second
         got, out, err = run(capsys, "bisim", fixture_path(n1), w1, fixture_path(n2),
@@ -378,6 +394,28 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     code, _, err = run(capsys, "validate", fixture_path("open_door"))
     assert code == 5
     assert err.startswith("internal error: ") and "boom" in err
+
+
+def test_parser_reuse_keeps_results(capsys):
+    from depmodal.cli import build_parser
+
+    door = fixture_path("open_door")
+    check = ("check", door, "s", "K Dg({bar_p};{bar_r})", "--json")
+    bisim = ("bisim", fixture_path("experiment_2runs"), "w1",
+             fixture_path("experiment_3runs"), "w1", "--json")
+    alone = run(capsys, *check)
+    bounded = run(capsys, *bisim, "--depth", "1")
+    assert alone[0] == bounded[0] == 0
+    code, out, err = run(capsys, *check, "--bogus")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --bogus" in err
+    assert run(capsys, *check) == alone
+    assert run(capsys, *bisim, "--depth", "1") == bounded
+    assert run(capsys, *check) == alone
+    unbounded = run(capsys, *bisim)
+    assert json.loads(unbounded[1])["distinguishing"] == \
+        json.loads(bounded[1])["distinguishing"]
+    assert build_parser() is build_parser()
 
 
 def test_no_command_is_usage_error(capsys):

@@ -21,7 +21,7 @@ from depmodal.semantics import (dep_holds_direct, evaluate,
 from depmodal.syntax import (GLOBAL, LOCAL, TOP, All, DepG, DepL, Know, Not,
                              dep_atom, iff, implies, parse_formula)
 
-from oracles import recursive_eval_oracle
+from oracles import agree_outside, delta, differs_on, recursive_eval_oracle
 
 
 def vs(*names):
@@ -138,23 +138,129 @@ class TestClauses:
         assert extension(open_door, Not(TOP)) == set()
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
-@pytest.mark.parametrize("ask", [
+ASKS = pytest.mark.parametrize("ask", [
     lambda m, s, kind: dep_holds_direct(m, s, kind, vs("y"), vs("y")),
     lambda m, s, kind: dep_holds_by_evidence(m, s, kind, vs("y"), vs("y")),
     p_family,
     generative_sets,
 ], ids=["direct", "evidence", "p_family", "generative_sets"])
+WARM = pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+
+
+def _warm_up(m, ask):
+    for w in m.worlds:
+        for kind in (GLOBAL, LOCAL):
+            ask(m, w, kind)
+
+
+@WARM
+@ASKS
 def test_unknown_kind_rejected(ask, warm):
     # an unknown kind must not be answered from, or as, a cached global entry
     m = fixtures.load_fixture("dl_strictness_witness")
     if warm:
-        for w in m.worlds:
-            for kind in (GLOBAL, LOCAL):
-                ask(m, w, kind)
+        _warm_up(m, ask)
     for w in m.worlds:
         with pytest.raises(ValueError, match="kind must be one of"):
             ask(m, w, "bogus")
+
+
+@WARM
+@ASKS
+@pytest.mark.parametrize("kind", [GLOBAL, LOCAL])
+def test_unknown_world_rejected(ask, warm, kind):
+    m = fixtures.load_fixture("dl_strictness_witness")
+    if warm:
+        _warm_up(m, ask)
+    with pytest.raises(EvalError, match="unknown world"):
+        ask(m, "zz", kind)
+
+
+@pytest.mark.parametrize("holds", [dep_holds_direct, dep_holds_by_evidence],
+                         ids=["direct", "evidence"])
+def test_undeclared_name_rejected_after_caching(holds):
+    # names are checked only on a memo miss; a miss for an undeclared name
+    # must still raise, whatever else is cached at the same anchor
+    m = fixtures.load_fixture("dl_strictness_witness")
+    for w in m.worlds:
+        for kind in (GLOBAL, LOCAL):
+            holds(m, w, kind, vs("y"), vs("y"))
+    for w in m.worlds:
+        for kind in (GLOBAL, LOCAL):
+            for x, y in ((vs("ghost"), vs("y")), (vs("y"), vs("y", "ghost"))):
+                with pytest.raises(EvalError, match="undeclared variable 'ghost'"):
+                    holds(m, w, kind, x, y)
+
+
+def test_equal_rows_share_one_local_entry():
+    # u and v share a nomic class and a row; t has the row of u but another
+    # class; w has another row
+    m = load_model({
+        "propositions": ["p"],
+        "variables": [{"name": "x", "hidden": False},
+                      {"name": "y", "hidden": False},
+                      {"name": "h", "hidden": True}],
+        "worlds": [{"id": w, "props": {"p": int(w == "v")}, "vals": vals}
+                   for w, vals in (("u", {"x": 0, "y": 0, "h": 0}),
+                                   ("v", {"x": 0, "y": 0, "h": 0}),
+                                   ("w", {"x": 1, "y": 1, "h": 0}),
+                                   ("t", {"x": 0, "y": 0, "h": 0}))],
+        "epistemic_partition": [["u", "v", "w", "t"]],
+        "nomic_partition": [["u", "v", "w"], ["t"]]})
+    asks = {"direct": lambda s: dep_holds_direct(m, s, LOCAL, vs("x"), vs("y")),
+            "evidence": lambda s: dep_holds_by_evidence(m, s, LOCAL, vs("x"), vs("y")),
+            "family": lambda s: p_family(m, s, LOCAL),
+            "generative": lambda s: generative_sets(m, s, LOCAL)}
+    for name, ask in asks.items():
+        assert ask("u") is ask("v")
+        ask("w")
+        ask("t")
+        anchors = [key[-1] for key in m._memo_table
+                   if key[0] == name and key[1] == LOCAL]
+        assert sorted(anchors) == ["t", "u", "w"], name
+
+
+@st.composite
+def models_with_repeated_rows(draw):
+    """Models whose worlds take fewer distinct rows than there are worlds, so
+    some rows repeat, with a hidden variable that splits some named-equal
+    rows and one to three nomic classes."""
+    named = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    n = draw(st.integers(2, 8))
+    row = st.tuples(*[st.integers(0, 2)] * len(named), st.integers(0, 1))
+    rows = draw(st.lists(row, min_size=1, max_size=n - 1))
+    picks = draw(st.lists(st.sampled_from(rows), min_size=n, max_size=n))
+    classes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    worlds = [f"w{i}" for i in range(n)]
+    return load_model({
+        "propositions": [],
+        "variables": ([{"name": x, "hidden": False} for x in named]
+                      + [{"name": "h", "hidden": True}]),
+        "worlds": [{"id": w, "props": {}, "vals": dict(zip(named + ["h"], r))}
+                   for w, r in zip(worlds, picks)],
+        "epistemic_partition": [worlds],
+        "nomic_partition": [[w for w, c in zip(worlds, classes) if c == label]
+                            for label in sorted(set(classes))]})
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=models_with_repeated_rows())
+def test_families_and_atoms_match_pair_enumeration(m):
+    subsets = all_subsets(m.named_variables)
+    for s in m.worlds:
+        cls = m.nomic_class(s)
+        pairs = {GLOBAL: [(u, v) for u in cls for v in cls],
+                 LOCAL: [(t, s) for t in cls]}
+        for kind, kind_pairs in pairs.items():
+            family = {delta(m, u, v) for u, v in kind_pairs} - {frozenset()}
+            assert p_family(m, s, kind).members == family
+            for x in subsets:
+                for y in subsets:
+                    expected = any(differs_on(m, u, v, x) and differs_on(m, u, v, y)
+                                   and agree_outside(m, u, v, x | y)
+                                   for u, v in kind_pairs)
+                    assert dep_holds_direct(m, s, kind, x, y) == expected
+                    assert dep_holds_by_evidence(m, s, kind, x, y) == expected
 
 
 # ---------------------------------------------------------------------------

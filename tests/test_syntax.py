@@ -5,10 +5,9 @@ import pytest
 
 from depmodal.errors import ParseError
 from depmodal.syntax import (GLOBAL, LOCAL, TOP, All, And, DepG, DepL, Know,
-                             Not, Prop, mutual_dependence, parse_formula,
-                             parse_varset, proper_subsets, render_formula)
-
-from oracles import modal_depth
+                             Not, Prop, modal_depth, mutual_dependence,
+                             parse_formula, parse_varset, proper_subsets,
+                             render_formula)
 
 
 def vs(*names):
