@@ -66,18 +66,20 @@ def p_family(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
     all pairs inside s's nomic class for the global kind, pairs anchored at
     ``s`` itself for the local kind.  The local family is always a subset of
     the global one."""
-    def compute() -> EvidenceFamily:
-        # worlds with equal rows differ nowhere, so distinct rows suffice
-        rows = {m._row[t] for t in m.nomic_class(s)}
-        if kind == GLOBAL:
-            # the difference set is symmetric and empty on (u, u)
-            members = {m._delta(u, v) for u, v in itertools.combinations(rows, 2)}
-        else:
-            own = m._row[s]
-            members = {m._delta(u, own) for u in rows}
-        members.discard(frozenset())
-        return EvidenceFamily(frozenset(members))
-    return m._memo(("family", kind, m._anchor(s, kind)), compute)
+    return m._memo(("family", kind, m._anchor(s, kind)), _family_miss, m, s, kind)
+
+
+def _family_miss(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
+    # worlds with equal rows differ nowhere, so distinct rows suffice
+    rows = {m._row[t] for t in m.nomic_class(s)}
+    if kind == GLOBAL:
+        # the difference set is symmetric and empty on (u, u)
+        members = {m._delta(u, v) for u, v in itertools.combinations(rows, 2)}
+    else:
+        own = m._row[s]
+        members = {m._delta(u, own) for u in rows}
+    members.discard(frozenset())
+    return EvidenceFamily(frozenset(members))
 
 
 def atom_holds_from_family(fam: EvidenceFamily, x: VarSet, y: VarSet) -> bool:
@@ -91,12 +93,15 @@ def dep_holds_by_evidence(m: KripkeModel, s: str, kind: str,
                           x: VarSet, y: VarSet) -> bool:
     """Dependency-atom truth via the evidence route: search the world's
     difference family for an evidence of the pair."""
-    def compute() -> bool:
-        # a stored entry implies its names passed: x and y are in its key
-        m._check_named(x)
-        m._check_named(y)
-        return atom_holds_from_family(p_family(m, s, kind), x, y)
-    return m._memo(("evidence", kind, x, y, m._anchor(s, kind)), compute)
+    return m._memo(("evidence", kind, x, y, m._anchor(s, kind)),
+                   _evidence_miss, m, s, kind, x, y)
+
+
+def _evidence_miss(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) -> bool:
+    # a stored entry implies its names passed: x and y are in its key
+    m._check_named(x)
+    m._check_named(y)
+    return atom_holds_from_family(p_family(m, s, kind), x, y)
 
 
 def sigma(p: EvidenceFamily, w: VarSet) -> frozenset[VarSet]:
@@ -198,4 +203,8 @@ def generative_family(p: EvidenceFamily) -> EvidenceFamily:
 def generative_sets(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
     """The generative family of a world's difference family, cached per model."""
     return m._memo(("generative", kind, m._anchor(s, kind)),
-                   lambda: generative_family(p_family(m, s, kind)))
+                   _generative_miss, m, s, kind)
+
+
+def _generative_miss(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
+    return generative_family(p_family(m, s, kind))

@@ -168,6 +168,8 @@ class KripkeModel:
         first: dict = {}
         self._local_rep = {w: first.setdefault((self._nomic_cell[w], self._row[w]), w)
                            for w in self.worlds}
+        # ``_anchor``'s per-world table for each kind
+        self._anchor_table = {GLOBAL: self._nomic_cell, LOCAL: self._local_rep}
 
         self._cache_lock = threading.Lock()
         self._memo_table: dict = {}
@@ -212,29 +214,30 @@ class KripkeModel:
         return self._at(self._widx, w)
 
     def _check_named(self, xs: VarSet) -> None:
+        if xs <= self._named_set:
+            return
         bad = xs - self._named_set
-        if bad:
-            raise EvalError(f"undeclared variable {sorted(bad)[0]!r}")
+        raise EvalError(f"undeclared variable {sorted(bad)[0]!r}")
 
     def _anchor(self, s: str, kind: str) -> frozenset[str] | str:
         """What an answer of ``kind`` at ``s`` depends on: the nomic class for
         the global kind; for the local kind, the representative of ``s``, the
         first world in model order with the same nomic class and the same row
         of values."""
-        if kind == GLOBAL:
-            return self.nomic_class(s)
-        if kind == LOCAL:
-            return self._at(self._local_rep, s)
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        try:
+            table = self._anchor_table[kind]
+        except (KeyError, TypeError):
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}") from None
+        return self._at(table, s)
 
-    def _memo(self, key: tuple, compute):
-        """The cached ``compute()`` for ``key``.  Computed outside the lock,
-        since one computation may ask for another; concurrent callers all get
-        the first value stored."""
+    def _memo(self, key: tuple, miss, *args):
+        """The cached ``miss(*args)`` for ``key``; a hit calls and builds
+        nothing.  Computed outside the lock, since one computation may ask for
+        another; concurrent callers all get the first value stored."""
         cached = self._memo_table.get(key)
         if cached is not None:
             return cached
-        value = compute()
+        value = miss(*args)
         with self._cache_lock:
             return self._memo_table.setdefault(key, value)
 

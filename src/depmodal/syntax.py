@@ -384,22 +384,22 @@ def modal_depth(f: Formula) -> int:
 
 
 def collect_dep_atoms(f: Formula) -> set[tuple[str, VarSet, VarSet]]:
-    """All dependency atoms occurring in ``f`` as (kind, left, right) triples."""
+    """All dependency atoms occurring in ``f`` as (kind, left, right) triples.
+    Dispatches on exact node type, like the evaluator's walks."""
     out: set[tuple[str, VarSet, VarSet]] = set()
     stack = [f]
     while stack:
         g = stack.pop()
-        match g:
-            case DepG(x, y):
-                out.add((GLOBAL, x, y))
-            case DepL(x, y):
-                out.add((LOCAL, x, y))
-            case Not(h):
-                stack.append(h)
-            case And(l, r):
-                stack.extend((l, r))
-            case Know(h) | All(h):
-                stack.append(h)
+        t = type(g)
+        if t is And:
+            stack.append(g.left)
+            stack.append(g.right)
+        elif t is Not or t is Know or t is All:
+            stack.append(g.operand)
+        elif t is DepG:
+            out.add((GLOBAL, g.left, g.right))
+        elif t is DepL:
+            out.add((LOCAL, g.left, g.right))
     return out
 
 

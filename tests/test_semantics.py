@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import threading
+import typing
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,8 @@ from depmodal.model import load_model
 from depmodal.semantics import (dep_holds_direct, evaluate,
                                 evaluate_by_evidence, extension,
                                 extension_by_evidence)
-from depmodal.syntax import (GLOBAL, LOCAL, TOP, All, DepG, DepL, Know, Not,
+from depmodal.syntax import (GLOBAL, LOCAL, TOP, All, DepG, DepL, Formula,
+                             Know, Not, Prop, VarSet, collect_dep_atoms,
                              dep_atom, iff, implies, parse_formula)
 
 from oracles import agree_outside, delta, differs_on, recursive_eval_oracle
@@ -163,6 +165,9 @@ def test_unknown_kind_rejected(ask, warm):
     for w in m.worlds:
         with pytest.raises(ValueError, match="kind must be one of"):
             ask(m, w, "bogus")
+    # the kind is checked before the world
+    with pytest.raises(ValueError, match="kind must be one of"):
+        ask(m, "zz", "bogus")
 
 
 @WARM
@@ -466,3 +471,66 @@ def test_box_memo_adds_no_stack_per_nesting_level(open_door):
     f = parse_formula("K " * 250 + "Dg({bar_p};{bar_r})")
     assert evaluate(open_door, "s", f) == evaluate_by_evidence(open_door, "s", f)
     assert extension(open_door, f) == extension_by_evidence(open_door, f)
+
+
+# ---------------------------------------------------------------------------
+# The hot walks dispatch on exact node type: none may skip a node class
+# ---------------------------------------------------------------------------
+
+NODE_CLASSES = sorted(Formula.__subclasses__(), key=lambda c: c.__name__)
+GHOST = "ghost"
+
+
+def _declared(m):
+    """For each node field type, a value naming only what ``m`` declares."""
+    return {Formula: TOP, VarSet: frozenset(m.named_variables[:1]),
+            str: m.propositions[0]}
+
+
+def _nestings(m, cls, values):
+    """Nodes of ``cls`` with one field at a time set to each of
+    ``values[its type]`` and every other field declared, as (field, node).
+    A field type missing from ``values`` is a KeyError, not a skip."""
+    hints = typing.get_type_hints(cls)
+    declared = {name: _declared(m)[hint] for name, hint in hints.items()}
+    for name, hint in hints.items():
+        for value in values[hint]:
+            yield name, cls(**{**declared, name: value})
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_every_node_class_is_evaluated(open_door, cls):
+    # with every field declared, each route evaluates the node
+    m = open_door
+    f = cls(**{name: _declared(m)[hint]
+               for name, hint in typing.get_type_hints(cls).items()})
+    holding = {w for w in m.worlds if evaluate(m, w, f)}
+    assert holding == {w for w in m.worlds if evaluate_by_evidence(m, w, f)}
+    assert extension(m, f) == extension_by_evidence(m, f) == holding
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_undeclared_name_found_under_every_node_class(open_door, cls):
+    m = open_door
+    ghost, x = frozenset({GHOST}), frozenset(m.named_variables[:1])
+    undeclared = {Formula: [Prop(GHOST), DepG(ghost, x), DepL(x, ghost)],
+                  VarSet: [ghost, ghost | x], str: [GHOST]}
+    for _, f in _nestings(m, cls, undeclared):
+        for run in (lambda: evaluate(m, "s", f),
+                    lambda: evaluate_by_evidence(m, "s", f),
+                    lambda: extension(m, f),
+                    lambda: extension_by_evidence(m, f)):
+            with pytest.raises(EvalError, match=GHOST):
+                run()
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_dep_atom_collected_under_every_node_class(open_door, cls):
+    a, b = frozenset({"a"}), frozenset({"b", "c"})
+    atoms = {DepG(a, b): (GLOBAL, a, b), DepL(b, a): (LOCAL, b, a)}
+    values = {**{hint: [value] for hint, value in _declared(open_door).items()},
+              Formula: list(atoms)}
+    for field, f in _nestings(open_door, cls, values):
+        inner = getattr(f, field)
+        if inner in atoms:
+            assert atoms[inner] in collect_dep_atoms(f), (cls.__name__, field)
