@@ -7,7 +7,8 @@ bisimilarity coincides with agreement on all formulas, so one partition
 refinement (Kanellakis-Smolka) of the disjoint union of the two models
 answers every question: two worlds are bisimilar iff they share a stable
 cell, and the level at which two worlds split is the modal depth of the
-distinguishing formula synthesized from the refinement.
+distinguishing formula synthesized from the refinement.  The refinement runs
+on integer node ids and does each piece of work once per distinct input.
 
 Cross-model comparison requires a shared proposition signature: a pair of
 worlds from models declaring different proposition sets is never bisimilar.
@@ -17,19 +18,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .dependency import atom_holds_from_family, generative_sets, p_family
+from .dependency import (EvidenceFamily, atom_holds_from_family,
+                         generative_family, p_family)
 from .model import KripkeModel, PointedModel
 from .syntax import (GLOBAL, LOCAL, All, DepG, DepL, Formula, Know, Not, Prop,
                      conj_all, dep_atom, mutual_dependence, proper_subsets)
 
 Pair = tuple[str, str]
-
-
-def _base_profile(m: KripkeModel, w: str, props: Iterable[str]) -> tuple:
-    """What a bisimulation must preserve at a single world: the values of
-    ``props`` and both generative families."""
-    return (tuple(m.valuation[w][p] for p in props),
-            generative_sets(m, w, GLOBAL), generative_sets(m, w, LOCAL))
 
 
 def greatest_bisimulation(m: KripkeModel, m2: KripkeModel) -> frozenset[Pair]:
@@ -39,61 +34,79 @@ def greatest_bisimulation(m: KripkeModel, m2: KripkeModel) -> frozenset[Pair]:
     if set(m.propositions) != set(m2.propositions):
         return frozenset()
     stable = _Refiner(m, m2).levels[-1]
-    return frozenset((s, s2) for s in m.worlds for s2 in m2.worlds
-                     if stable[0, s] == stable[1, s2])
+    return frozenset((s, s2) for s, c in zip(m.worlds, stable)
+                     for s2, c2 in zip(m2.worlds, stable[len(m.worlds):]) if c == c2)
 
 
 # ---------------------------------------------------------------------------
 # Partition refinement and distinguishing formulas
 # ---------------------------------------------------------------------------
 
-Node = tuple[int, str]
-
-
-def _number(profiles: dict[Node, object]) -> dict[Node, int]:
+def _number(profiles: Iterable) -> list[int]:
     """Cells of equal profile, numbered by first appearance in node order."""
     ids: dict = {}
-    return {node: ids.setdefault(prof, len(ids)) for node, prof in profiles.items()}
+    return [ids.setdefault(prof, len(ids)) for prof in profiles]
 
 
 class _Refiner:
     """Modal-equivalence partitions of the disjoint union of two models, with
-    formula synthesis for split pairs.  Level 0 groups nodes by base profile;
-    ``levels[j]`` splits each cell of level j-1 by the cells its members'
-    epistemic and nomic classes reach.  The last level is stable, so its
-    cells are the bisimilarity classes."""
+    formula synthesis for split pairs.
+
+    Nodes are integers: model 0's worlds in model order, then model 1's.
+    Each epistemic and nomic class is a cell, a tuple of node ids sorted by
+    world name; ``epi[v]`` and ``nomic[v]`` index node v's cells.  Level 0
+    groups nodes by the values of the shared propositions and both generative
+    families, read once per local representative (its nomic class and row fix
+    both difference families); each distinct difference family is closed once
+    for both models.  ``levels[j]`` splits each cell of level j-1 by the cells
+    its members' epistemic and nomic classes reach.  The last level is
+    stable, so its cells are the bisimilarity classes."""
 
     def __init__(self, m: KripkeModel, m2: KripkeModel):
         self.models = (m, m2)
         self.shared_props = sorted(set(m.propositions) & set(m2.propositions))
-        self.nodes: list[Node] = ([(0, w) for w in m.worlds]
-                                  + [(1, w) for w in m2.worlds])
-        self.levels: list[dict[Node, int]] = [_number(
-            {node: _base_profile(self.model_of(node), node[1], self.shared_props)
-             for node in self.nodes})]
-        # numbering is canonical, so an unchanged partition compares equal
-        while (cells := self._refine(self.levels[-1])) != self.levels[-1]:
-            self.levels.append(cells)
+        self.names = m.worlds + m2.worlds
+        self.cells: list[tuple[int, ...]] = []
+        self.epi = [0] * len(self.names)
+        self.nomic = [0] * len(self.names)
+        self.closures: dict[EvidenceFamily, EvidenceFamily] = {}
+        profiles = []
+        for mdl, offset in ((m, 0), (m2, len(m.worlds))):
+            for partition, cell_of in ((mdl.epistemic_partition, self.epi),
+                                       (mdl.nomic_partition, self.nomic)):
+                for cls in partition:
+                    cell = tuple(offset + mdl._widx[t] for t in sorted(cls))
+                    for v in cell:
+                        cell_of[v] = len(self.cells)
+                    self.cells.append(cell)
+            fams = {rep: (self.generative(mdl, rep, GLOBAL), self.generative(mdl, rep, LOCAL))
+                    for rep in dict.fromkeys(mdl._local_rep.values())}
+            profiles += [(tuple(mdl.valuation[w][p] for p in self.shared_props),
+                          *fams[mdl._local_rep[w]]) for w in mdl.worlds]
+        self.levels: list[list[int]] = [_number(profiles)]
+        while True:
+            prev = self.levels[-1]
+            reach = [frozenset([prev[t] for t in cell]) for cell in self.cells]
+            cur = _number(zip(prev, map(reach.__getitem__, self.epi),
+                              map(reach.__getitem__, self.nomic)))
+            # numbering is canonical, so an unchanged partition compares equal
+            if cur == prev:
+                break
+            self.levels.append(cur)
 
-    def model_of(self, node: Node) -> KripkeModel:
-        return self.models[node[0]]
+    def generative(self, mdl: KripkeModel, w: str, kind: str) -> EvidenceFamily:
+        """The generative family at ``w``, closed once per distinct
+        difference family of either model."""
+        fam = p_family(mdl, w, kind)
+        gen = self.closures.get(fam)
+        if gen is None:
+            gen = self.closures[fam] = generative_family(fam)
+        return gen
 
-    def _class(self, node: Node, relation: str) -> frozenset[str]:
-        mdl, w = self.model_of(node), node[1]
-        return mdl.epistemic_class(w) if relation == "epi" else mdl.nomic_class(w)
+    def world(self, v: int) -> tuple[KripkeModel, str]:
+        return self.models[v >= len(self.models[0].worlds)], self.names[v]
 
-    def _succ(self, node: Node, relation: str) -> list[Node]:
-        return [(node[0], t) for t in sorted(self._class(node, relation))]
-
-    def _refine(self, prev: dict[Node, int]) -> dict[Node, int]:
-        reach = {(i, cls): frozenset(prev[i, t] for t in cls)
-                 for i, mdl in enumerate(self.models)
-                 for cls in mdl.epistemic_partition + mdl.nomic_partition}
-        return _number({node: (prev[node], reach[node[0], self._class(node, "epi")],
-                               reach[node[0], self._class(node, "nomic")])
-                        for node in self.nodes})
-
-    def split_level(self, a: Node, b: Node) -> int | None:
+    def split_level(self, a: int, b: int) -> int | None:
         """Smallest level at which the two nodes sit in different cells, or
         None if they are bisimilar."""
         for j, cells in enumerate(self.levels):
@@ -103,9 +116,9 @@ class _Refiner:
 
     # -- synthesis ------------------------------------------------------
 
-    def _atom_true_at(self, node: Node, atom: Formula) -> bool:
+    def _atom_true_at(self, v: int, atom: Formula) -> bool:
         # family-route truth: total even for names the model never declares
-        mdl, w = self.model_of(node), node[1]
+        mdl, w = self.world(v)
         match atom:
             case Prop(name):
                 return mdl.valuation[w][name] == 1
@@ -115,17 +128,16 @@ class _Refiner:
                 return atom_holds_from_family(p_family(mdl, w, LOCAL), x, y)
         raise AssertionError(f"not an atom: {atom!r}")
 
-    def split_atom(self, a: Node, b: Node) -> Formula:
+    def split_atom(self, a: int, b: int) -> Formula:
         """A proposition or dependency atom with different truth values at the
         two nodes; the nodes must sit in different level-0 cells."""
-        ma, wa = self.model_of(a), a[1]
-        mb, wb = self.model_of(b), b[1]
+        (ma, wa), (mb, wb) = self.world(a), self.world(b)
         for p in self.shared_props:
             if ma.valuation[wa][p] != mb.valuation[wb][p]:
                 return Prop(p)
         for kind in (GLOBAL, LOCAL):
-            ga = generative_sets(ma, wa, kind)
-            gb = generative_sets(mb, wb, kind)
+            ga = self.generative(ma, wa, kind)
+            gb = self.generative(mb, wb, kind)
             diff = sorted(ga.members ^ gb.members, key=lambda s: (len(s), sorted(s)))
             for w in diff:
                 for atom in _block_atoms(kind, w):
@@ -133,7 +145,7 @@ class _Refiner:
                         return atom
         raise AssertionError("level-0 split without a distinguishing atom")
 
-    def distinguish(self, a: Node, b: Node) -> Formula:
+    def distinguish(self, a: int, b: int) -> Formula:
         """A formula true at ``a`` and false at ``b`` whose modal depth is
         their split level; the nodes must not be bisimilar."""
         j = self.split_level(a, b)
@@ -142,9 +154,10 @@ class _Refiner:
         if j == 0:
             atom = self.split_atom(a, b)
             return atom if self._atom_true_at(a, atom) else Not(atom)
-        for relation, box in (("epi", Know), ("nomic", All)):
-            img_a = {self.levels[j - 1][t]: t for t in self._succ(a, relation)}
-            img_b = {self.levels[j - 1][t]: t for t in self._succ(b, relation)}
+        prev = self.levels[j - 1]
+        for cell_of, box in ((self.epi, Know), (self.nomic, All)):
+            img_a = {prev[t]: t for t in self.cells[cell_of[a]]}
+            img_b = {prev[t]: t for t in self.cells[cell_of[b]]}
             if set(img_a) != set(img_b):
                 if set(img_a) - set(img_b):
                     # a sees a cell b never reaches: diamond over a's witness
@@ -181,7 +194,8 @@ def find_distinguishing_formula(pm: PointedModel, pm2: PointedModel,
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
     ref = _Refiner(pm.model, pm2.model)
-    a, b = (0, pm.point), (1, pm2.point)
+    a = pm.model._world_index(pm.point)
+    b = len(pm.model.worlds) + pm2.model._world_index(pm2.point)
     split = ref.split_level(a, b)
     if split is None or (depth is not None and split > depth):
         return None

@@ -214,6 +214,8 @@ def cmd_generative(args) -> int:
 
 
 def cmd_bisim(args) -> int:
+    if args.depth is not None and args.depth < 0:
+        raise ValueError("depth must be >= 0")
     m = load_model_path(_pick(args.model_pos, args.model_flag, "model path"))
     w = _require_world(m, _pick(args.world_pos, args.world_flag, "world"))
     m2 = load_model_path(_pick(args.model2_pos, args.model2_flag, "second model path"))
@@ -226,11 +228,8 @@ def cmd_bisim(args) -> int:
         # bisimilar, and its modal depth is their split level
         f = find_distinguishing_formula(pm, pm2)
         verdict = f is None
-        if not verdict and args.depth is not None:
-            if args.depth < 0:
-                raise ValueError("depth must be >= 0")
-            if modal_depth(f) > args.depth:
-                f = None
+        if not verdict and args.depth is not None and modal_depth(f) > args.depth:
+            f = None
         shown = None if f is None else render_formula(f)
     except RecursionError:
         raise EvalError("distinguishing formula nested too deeply") from None

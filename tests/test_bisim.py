@@ -3,6 +3,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depmodal.bisim import find_distinguishing_formula, greatest_bisimulation
 from depmodal.dependency import atom_holds_from_family, generative_sets, p_family
@@ -11,7 +13,8 @@ from depmodal.model import PointedModel, load_model
 from depmodal.semantics import evaluate
 from depmodal.syntax import GLOBAL, LOCAL, DepL, Prop, dep_atom, modal_depth
 
-from oracles import are_bisimilar, bisimulation_oracle
+from oracles import (agree_outside, are_bisimilar, bisimulation_oracle,
+                     differs_on, pair_deletion_oracle, recursive_eval_oracle)
 
 
 def vs(*names):
@@ -42,6 +45,38 @@ def doubled(m):
     if "mirrors" in a:
         doc["mirrors"] = a["mirrors"]
     return load_model(doc)
+
+
+def replicated(m, r, q_worlds=None):
+    """R(m, r): copy j of world w is ``w_j`` with w's valuation and values,
+    and each cell is the union of the copies of one cell of ``m``.  The
+    projection to ``m`` is a bisimulation.  With ``q_worlds`` given, a
+    proposition ``q`` is declared and is true exactly at those worlds."""
+    doc = m.to_dict()
+    if q_worlds is not None:
+        doc["propositions"].append("q")
+    worlds = []
+    for entry in doc["worlds"]:
+        for j in range(r):
+            props = dict(entry["props"])
+            if q_worlds is not None:
+                props["q"] = int(f"{entry['id']}_{j}" in q_worlds)
+            worlds.append({"id": f"{entry['id']}_{j}", "props": props,
+                           "vals": entry["vals"]})
+    doc["worlds"] = worlds
+    for field in ("epistemic_partition", "nomic_partition"):
+        doc[field] = [[f"{w}_{j}" for w in cell for j in range(r)]
+                      for cell in doc[field]]
+    return load_model(doc)
+
+
+def oracle_holds(m, s, kind, x, y):
+    """Dependency-atom truth read pair by pair from the assignment."""
+    cls = m.nomic_class(s)
+    pairs = ([(u, v) for u in cls for v in cls] if kind == GLOBAL
+             else [(t, s) for t in cls])
+    return any(differs_on(m, u, v, x) and differs_on(m, u, v, y)
+               and agree_outside(m, u, v, x | y) for u, v in pairs)
 
 
 def one_world_model(prop_value):
@@ -157,6 +192,82 @@ class TestGreatestBisimulation:
         g = greatest_bisimulation(m, copy)
         for w in m.worlds:
             assert (w, w + "_c") in g
+
+
+class TestReplication:
+    PARAMS = GenParams(min_worlds=3, max_worlds=7, num_props=1, num_named=3,
+                       num_hidden=1, max_value=3)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_copies_bisimilar_exactly_where_base_worlds_are(self, seed):
+        base = random_model(replace(self.PARAMS, seed=seed))
+        r1, r2 = 1 + seed % 3, 2 + seed % 2
+        g = greatest_bisimulation(replicated(base, r1), replicated(base, r2))
+        in_base = greatest_bisimulation(base, base)
+        for w in base.worlds:
+            assert all((f"{w}_{j}", f"{w}_{k}") in g
+                       for j in range(r1) for k in range(r2))
+        assert g == {(f"{u}_{j}", f"{v}_{k}") for u, v in in_base
+                     for j in range(r1) for k in range(r2)}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_marked_copy_separated(self, seed):
+        rng = random.Random(seed)
+        base = random_model(replace(self.PARAMS, seed=seed + 100))
+        r1, r2 = 1 + seed % 3, 2 + seed % 2
+        w = rng.choice(base.worlds)
+        j1, j2, sibling = rng.randrange(r1), *rng.sample(range(r2), 2)
+        m1 = replicated(base, r1, q_worlds=set())
+        m2 = replicated(base, r2, q_worlds={f"{w}_{sibling}"})
+        p1, p2 = f"{w}_{j1}", f"{w}_{j2}"
+        f = find_distinguishing_formula(PointedModel(m1, p1), PointedModel(m2, p2))
+        assert f is not None
+        assert (recursive_eval_oracle(m1, p1, f, oracle_holds)
+                != recursive_eval_oracle(m2, p2, f, oracle_holds))
+
+
+@st.composite
+def models_with_split_twins(draw):
+    """Models in which w0 and w1 share a nomic class and a row, and so a local
+    representative, but differ in the proposition p or sit in different
+    epistemic cells."""
+    named = [f"x{i}" for i in range(draw(st.integers(1, 2)))]
+    n = draw(st.integers(2, 6))
+    row = st.tuples(*[st.integers(0, 2)] * len(named), st.integers(0, 1))
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    props = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    epi = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    nomic = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    rows[1], nomic[1] = rows[0], nomic[0]
+    if draw(st.booleans()):
+        props[1] = 1 - props[0]
+    else:
+        epi[1] = (epi[0] + 1) % 3
+    worlds = [f"w{i}" for i in range(n)]
+    return load_model({
+        "propositions": ["p"],
+        "variables": ([{"name": x, "hidden": False} for x in named]
+                      + [{"name": "h", "hidden": True}]),
+        "worlds": [{"id": w, "props": {"p": v}, "vals": dict(zip(named + ["h"], r))}
+                   for w, v, r in zip(worlds, props, rows)],
+        "epistemic_partition": [[w for w, c in zip(worlds, epi) if c == label]
+                                for label in sorted(set(epi))],
+        "nomic_partition": [[w for w, c in zip(worlds, nomic) if c == label]
+                            for label in sorted(set(nomic))]})
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=models_with_split_twins(), other=st.one_of(
+    st.sampled_from(["self", "copy"]), models_with_split_twins()))
+def test_split_twins_match_pair_deletion(m, other):
+    assert m._local_rep["w1"] == "w0"
+    if other == "self":
+        m2 = m
+    elif other == "copy":
+        m2 = relabeled(m, "_c")
+    else:
+        m2 = other
+    assert greatest_bisimulation(m, m2) == pair_deletion_oracle(m, m2)
 
 
 class TestAreBisimilar:

@@ -275,14 +275,43 @@ class TestBisim:
         assert code == 0
         assert len(built) == 1
 
+    def test_one_closure_per_difference_family(self, capsys, monkeypatch):
+        from depmodal import bisim, dependency
+        from depmodal.model import load_model_path
+        from depmodal.syntax import GLOBAL, LOCAL
+
+        closed = []
+        original = dependency.generative_family
+
+        def counted(fam):
+            closed.append(fam)
+            return original(fam)
+
+        monkeypatch.setattr(dependency, "generative_family", counted)
+        monkeypatch.setattr(bisim, "generative_family", counted)
+        paths = [fixture_path("experiment_2runs"), fixture_path("experiment_3runs")]
+        code, _, _ = run(capsys, "bisim", paths[0], "w1", paths[1], "w1")
+        assert code == 0
+        families = {dependency.p_family(m, w, kind)
+                    for m in map(load_model_path, paths)
+                    for w in m.worlds for kind in (GLOBAL, LOCAL)}
+        assert len(closed) == len(families)
+        assert set(closed) == families
+
+    def test_negative_depth_rejected_before_loading(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.edl")
+        code, _, err = run(capsys, "bisim", missing, "a", missing, "b", "--depth", "-1")
+        assert code == 2
+        assert err.startswith("invalid argument: depth must be >= 0")
+
     # experiment_2runs w1 and experiment_3runs w1 first split at level 1
     @pytest.mark.parametrize("first, second, depth, code, bisimilar, modal", [
         (("dl_strictness_witness", "a"), ("dl_strictness_witness", "b"), 0, 0, False, 0),
         (("experiment_2runs", "w1"), ("experiment_3runs", "w1"), 0, 0, False, None),
         (("experiment_2runs", "w1"), ("experiment_3runs", "w1"), 1, 0, False, 1),
         (("experiment_2runs", "w1"), ("experiment_3runs", "w1"), 5, 0, False, 1),
-        (("dl_strictness_witness", "a"), ("dl_strictness_witness", "a"), -1, 0, True, None),
-        (("open_door", "s"), ("open_door", "s"), -1, 0, True, None),
+        (("dl_strictness_witness", "a"), ("dl_strictness_witness", "a"), -1, 2, None, None),
+        (("open_door", "s"), ("open_door", "s"), -1, 2, None, None),
         (("dl_strictness_witness", "a"), ("dl_strictness_witness", "b"), -1, 2, None, None),
         (("experiment_2runs", "w1"), ("experiment_3runs", "w1"), -1, 2, None, None),
     ])
