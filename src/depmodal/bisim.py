@@ -10,8 +10,9 @@ cell, and the level at which two worlds split is the modal depth of the
 distinguishing formula synthesized from the refinement.  The refinement runs
 on integer node ids and does each piece of work once per distinct input.
 
-Cross-model comparison requires a shared proposition signature: a pair of
-worlds from models declaring different proposition sets is never bisimilar.
+Worlds of models that declare different proposition sets are never
+bisimilar: their greatest bisimulation is empty, and
+``find_distinguishing_formula`` rejects such points with ``EvalError``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Iterable
 
 from .dependency import (EvidenceFamily, atom_holds_from_family,
                          generative_family, p_family)
-from .model import KripkeModel, PointedModel
+from .errors import EvalError
+from .model import KripkeModel
 from .syntax import (GLOBAL, LOCAL, All, DepG, DepL, Formula, Know, Not, Prop,
                      conj_all, dep_atom, mutual_dependence, proper_subsets)
 
@@ -54,17 +56,18 @@ class _Refiner:
 
     Nodes are integers: model 0's worlds in model order, then model 1's.
     Each epistemic and nomic class is a cell, a tuple of node ids sorted by
-    world name; ``epi[v]`` and ``nomic[v]`` index node v's cells.  Level 0
-    groups nodes by the values of the shared propositions and both generative
-    families, read once per local representative (its nomic class and row fix
-    both difference families); each distinct difference family is closed once
-    for both models.  ``levels[j]`` splits each cell of level j-1 by the cells
-    its members' epistemic and nomic classes reach.  The last level is
-    stable, so its cells are the bisimilarity classes."""
+    world name; ``epi[v]`` and ``nomic[v]`` index node v's cells.  The two
+    models declare the same propositions.  Level 0 groups nodes by the values
+    of the propositions and both generative families, read once per local
+    representative (its nomic class and row fix both difference families);
+    each distinct difference family is closed once for both models.
+    ``levels[j]`` splits each cell of level j-1 by the cells its members'
+    epistemic and nomic classes reach.  The last level is stable, so its
+    cells are the bisimilarity classes."""
 
     def __init__(self, m: KripkeModel, m2: KripkeModel):
         self.models = (m, m2)
-        self.shared_props = sorted(set(m.propositions) & set(m2.propositions))
+        self.props = sorted(m.propositions)
         self.names = m.worlds + m2.worlds
         self.cells: list[tuple[int, ...]] = []
         self.epi = [0] * len(self.names)
@@ -81,7 +84,7 @@ class _Refiner:
                     self.cells.append(cell)
             fams = {rep: (self.generative(mdl, rep, GLOBAL), self.generative(mdl, rep, LOCAL))
                     for rep in dict.fromkeys(mdl._local_rep.values())}
-            profiles += [(tuple(mdl.valuation[w][p] for p in self.shared_props),
+            profiles += [(tuple(mdl.valuation[w][p] for p in self.props),
                           *fams[mdl._local_rep[w]]) for w in mdl.worlds]
         self.levels: list[list[int]] = [_number(profiles)]
         while True:
@@ -132,7 +135,7 @@ class _Refiner:
         """A proposition or dependency atom with different truth values at the
         two nodes; the nodes must sit in different level-0 cells."""
         (ma, wa), (mb, wb) = self.world(a), self.world(b)
-        for p in self.shared_props:
+        for p in self.props:
             if ma.valuation[wa][p] != mb.valuation[wb][p]:
                 return Prop(p)
         for kind in (GLOBAL, LOCAL):
@@ -184,20 +187,20 @@ def _block_atoms(kind: str, w: frozenset[str]):
         yield dep_atom(kind, z, w - z)
 
 
-def find_distinguishing_formula(pm: PointedModel, pm2: PointedModel,
-                                depth: int | None = None) -> Formula | None:
-    """Some formula of modal depth <= depth over the shared propositions and
-    support-bounded dependency atoms that separates the two points, or None
-    when every such formula agrees on them.  ``depth`` None means unbounded;
-    any depth of at least n1 + n2 - 1 is the same, since the refinement is
-    stable after that many rounds."""
-    if depth is not None and depth < 0:
-        raise ValueError("depth must be >= 0")
-    ref = _Refiner(pm.model, pm2.model)
-    a = pm.model._world_index(pm.point)
-    b = len(pm.model.worlds) + pm2.model._world_index(pm2.point)
+def find_distinguishing_formula(m: KripkeModel, s: str, m2: KripkeModel,
+                                s2: str) -> Formula | None:
+    """A formula over the propositions and support-bounded dependency atoms
+    that separates ``s`` in ``m`` from ``s2`` in ``m2``, of modal depth equal
+    to the level at which the refinement splits them (at most n1 + n2 - 1),
+    or None when the points are bisimilar.  ``EvalError`` for an unknown
+    world, and then for models that declare different propositions."""
+    a = m._world_index(s)
+    b = len(m.worlds) + m2._world_index(s2)
+    if set(m.propositions) != set(m2.propositions):
+        raise EvalError("proposition signatures differ; models are not comparable")
+    ref = _Refiner(m, m2)
     split = ref.split_level(a, b)
-    if split is None or (depth is not None and split > depth):
+    if split is None:
         return None
     if split == 0:
         return ref.split_atom(a, b)

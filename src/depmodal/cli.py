@@ -19,13 +19,15 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 
 from . import fixtures
 from .bisim import find_distinguishing_formula
-from .dependency import METHODS, generative_sets, is_generative, p_family, sigma
+from .dependency import (METHODS, generative_family, is_generative, p_family,
+                         sigma)
 from .errors import EvalError, ModelError, ParseError
 from .harness import GenParams, soundness_suite
-from .model import KripkeModel, PointedModel, load_model_path
+from .model import KripkeModel, load_model_path
 from .semantics import (evaluate, evaluate_by_evidence, extension,
                         extension_by_evidence)
 from .syntax import (GLOBAL, LOCAL, modal_depth, parse_formula, parse_varset,
@@ -189,7 +191,7 @@ def cmd_generative(args) -> int:
     w = _require_world(m, _pick(args.world_pos, args.world_flag, "world"))
     kind = _KIND[args.kind]
     fam = p_family(m, w, kind)
-    gen = generative_sets(m, w, kind)
+    gen = generative_family(fam)
     lines = [f"family: {_fmt_family(fam.members)}"]
     payload: dict = {"command": "generative", "world": w, "kind": kind,
                      "family": sorted(sorted(s) for s in fam.members),
@@ -220,13 +222,10 @@ def cmd_bisim(args) -> int:
     w = _require_world(m, _pick(args.world_pos, args.world_flag, "world"))
     m2 = load_model_path(_pick(args.model2_pos, args.model2_flag, "second model path"))
     w2 = _require_world(m2, _pick(args.world2_pos, args.world2_flag, "second world"))
-    if set(m.propositions) != set(m2.propositions):
-        raise EvalError("proposition signatures differ; models are not comparable")
-    pm, pm2 = PointedModel(m, w), PointedModel(m2, w2)
     try:
-        # unbounded, a formula exists exactly when the points are not
-        # bisimilar, and its modal depth is their split level
-        f = find_distinguishing_formula(pm, pm2)
+        # a formula exists exactly when the points are not bisimilar, and its
+        # modal depth is their split level
+        f = find_distinguishing_formula(m, w, m2, w2)
         verdict = f is None
         if not verdict and args.depth is not None and modal_depth(f) > args.depth:
             f = None
@@ -251,7 +250,7 @@ def cmd_axioms(args) -> int:
         raise _UsageError("--trials must be >= 1")
     report = soundness_suite(GenParams(seed=args.seed), args.trials)
     if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True))
+        print(json.dumps(asdict(report), sort_keys=True))
     else:
         print(report.summary())
     return EXIT_OK

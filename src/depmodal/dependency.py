@@ -198,13 +198,3 @@ def generative_family(p: EvidenceFamily) -> EvidenceFamily:
         out |= grown
         work.extend(grown)
     return EvidenceFamily(frozenset(out))
-
-
-def generative_sets(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
-    """The generative family of a world's difference family, cached per model."""
-    return m._memo(("generative", kind, m._anchor(s, kind)),
-                   _generative_miss, m, s, kind)
-
-
-def _generative_miss(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
-    return generative_family(p_family(m, s, kind))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from . import dependency, semantics
 from .model import KripkeModel
@@ -78,15 +78,19 @@ def random_model(params: GenParams) -> KripkeModel:
     )
 
 
-def random_varset(rng: random.Random, names: list[str], max_size: int,
+#: largest variable set the generators draw; it keeps the cover schema's
+#: doubly exponential disjunction tractable
+_MAX_VARSET = 3
+
+
+def random_varset(rng: random.Random, names: list[str],
                   allow_empty: bool = False) -> VarSet:
     lo = 0 if allow_empty else 1
-    size = rng.randint(lo, min(max_size, len(names)))
+    size = rng.randint(lo, min(_MAX_VARSET, len(names)))
     return frozenset(rng.sample(names, size))
 
 
-def random_formula(rng: random.Random, m: KripkeModel, depth: int = 2,
-                   max_varset: int = 3) -> Formula:
+def random_formula(rng: random.Random, m: KripkeModel, depth: int = 2) -> Formula:
     """A random formula over the model's declared names."""
     named = sorted(m.named_variables)
     atoms = ["top"]
@@ -101,21 +105,20 @@ def random_formula(rng: random.Random, m: KripkeModel, depth: int = 2,
             case "prop":
                 return _random_prop(rng, m)
             case "depg":
-                return DepG(random_varset(rng, named, max_varset),
-                            random_varset(rng, named, max_varset))
+                return DepG(random_varset(rng, named), random_varset(rng, named))
             case _:
-                return dep_atom(LOCAL, random_varset(rng, named, max_varset),
-                                random_varset(rng, named, max_varset))
+                return dep_atom(LOCAL, random_varset(rng, named),
+                                random_varset(rng, named))
     match rng.choice(["not", "and", "know", "all"]):
         case "not":
-            return Not(random_formula(rng, m, depth - 1, max_varset))
+            return Not(random_formula(rng, m, depth - 1))
         case "and":
-            return And(random_formula(rng, m, depth - 1, max_varset),
-                       random_formula(rng, m, depth - 1, max_varset))
+            return And(random_formula(rng, m, depth - 1),
+                       random_formula(rng, m, depth - 1))
         case "know":
-            return Know(random_formula(rng, m, depth - 1, max_varset))
+            return Know(random_formula(rng, m, depth - 1))
         case _:
-            return All(random_formula(rng, m, depth - 1, max_varset))
+            return All(random_formula(rng, m, depth - 1))
 
 
 def _random_prop(rng: random.Random, m: KripkeModel) -> Formula:
@@ -224,8 +227,7 @@ def instantiate(inst: SchemaInstance) -> Formula:
     raise ValueError(f"unknown schema {name!r}")
 
 
-def draw_instances(rng: random.Random, m: KripkeModel,
-                   max_varset: int = 3) -> list[SchemaInstance]:
+def draw_instances(rng: random.Random, m: KripkeModel) -> list[SchemaInstance]:
     """One instance of every schema, with random components bounded to keep
     the cover schema's doubly exponential disjunction tractable."""
     named = sorted(m.named_variables)
@@ -241,7 +243,7 @@ def draw_instances(rng: random.Random, m: KripkeModel,
         return out
 
     def vs(allow_empty=False):
-        return random_varset(rng, named, max_varset, allow_empty)
+        return random_varset(rng, named, allow_empty)
 
     for kind in KINDS:
         x, y = vs(), vs()
@@ -296,9 +298,6 @@ class SoundnessReport:
                  f"elapsed={self.elapsed:.1f}s"]
         lines += [str(ce) for ce in self.counterexamples]
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def soundness_suite(params: GenParams, trials: int) -> SoundnessReport:

@@ -22,20 +22,21 @@ Model documents are JSON objects:
 ``mirrors`` pins a variable to a proposition: at every world the variable's
 value must equal the proposition's truth value.  Models are immutable after
 construction; read-only sharing across threads is safe.  Derived answers
-(dependency atoms, difference and generative families) are cached per model
-by their anchor, and computed outside the cache lock because computations
-nest.  A global answer is anchored at the world's nomic class.  A local
-answer reads only the world's nomic class and its row of variable values, so
-it is anchored at the world's representative: the first world in model order
-with the same nomic class and the same row.  Worlds with equal rows in one
-class share every local answer.
+(dependency atoms and difference families) are cached per model by their
+anchor, and computed outside the cache lock because computations nest.
+Generative families are not cached here: they depend only on the difference
+family, so callers close each distinct family themselves.  A global answer
+is anchored at the world's nomic class.  A local answer reads only the
+world's nomic class and its row of variable values, so it is anchored at the
+world's representative: the first world in model order with the same nomic
+class and the same row.  Worlds with equal rows in one class share every
+local answer.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import EvalError, ModelError
@@ -277,17 +278,6 @@ class KripkeModel:
         if self.comment:
             doc["comment"] = self.comment
         return doc
-
-
-@dataclass(frozen=True)
-class PointedModel:
-    """A model together with a distinguished world."""
-
-    model: KripkeModel
-    point: str
-
-    def __post_init__(self):
-        self.model._world_index(self.point)
 
 
 _DOC_FIELDS = {"propositions", "variables", "worlds", "epistemic_partition",

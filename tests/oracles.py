@@ -16,7 +16,8 @@ import itertools
 import random
 
 from depmodal.bisim import greatest_bisimulation
-from depmodal.dependency import EvidenceFamily, generative_sets, is_evidence
+from depmodal.dependency import (EvidenceFamily, generative_family, is_evidence,
+                                 p_family)
 from depmodal.errors import EvalError
 from depmodal.syntax import (GLOBAL, LOCAL, All, And, DepG, DepL, Know, Not,
                              Prop, Top)
@@ -74,9 +75,9 @@ def random_family(rng: random.Random, max_support: int = 6,
     return EvidenceFamily(frozenset(members))
 
 
-def are_bisimilar(pm, pm2) -> bool:
-    """Whether some bisimulation links the two pointed models."""
-    return (pm.point, pm2.point) in greatest_bisimulation(pm.model, pm2.model)
+def are_bisimilar(m, s, m2, s2) -> bool:
+    """Whether some bisimulation links ``s`` in ``m`` with ``s2`` in ``m2``."""
+    return (s, s2) in greatest_bisimulation(m, m2)
 
 
 def bisimulation_oracle(m, m2, pairs) -> bool:
@@ -111,8 +112,9 @@ def pair_deletion_oracle(m, m2) -> frozenset:
 def _base_match(m, m2, s, s2) -> bool:
     # proposition agreement presumes an identical declared signature
     return (all(m.valuation[s][p] == m2.valuation[s2][p] for p in m.propositions)
-            and generative_sets(m, s, GLOBAL) == generative_sets(m2, s2, GLOBAL)
-            and generative_sets(m, s, LOCAL) == generative_sets(m2, s2, LOCAL))
+            and all(generative_family(p_family(m, s, kind))
+                    == generative_family(p_family(m2, s2, kind))
+                    for kind in (GLOBAL, LOCAL)))
 
 
 def _transfers(m, m2, pairs, s, s2) -> bool:

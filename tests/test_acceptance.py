@@ -16,7 +16,7 @@ from depmodal.cli import main
 from depmodal.dependency import (METHODS, dep_holds_by_evidence,
                                  generative_family, is_generative, p_family)
 from depmodal.harness import GenParams, random_model, soundness_suite, ROUTE_CHECK
-from depmodal.model import PointedModel, load_model
+from depmodal.model import load_model
 from depmodal.semantics import evaluate, evaluate_by_evidence
 from depmodal.syntax import (GLOBAL, LOCAL, DepL, dep_atom, modal_depth,
                              parse_formula)
@@ -166,10 +166,9 @@ def test_criterion_5_finite_hennessy_milner():
                 m2 = random_model(replace(params, seed=10_000 + i))
             w1 = rng.choice(m1.worlds)
             w2 = (w1 + "_c") if i % 2 else rng.choice(m2.worlds)
-            pm1, pm2 = PointedModel(m1, w1), PointedModel(m2, w2)
             depth = len(m1.worlds) * len(m2.worlds)
-            bisimilar = are_bisimilar(pm1, pm2)
-            formula = find_distinguishing_formula(pm1, pm2, depth)
+            bisimilar = are_bisimilar(m1, w1, m2, w2)
+            formula = find_distinguishing_formula(m1, w1, m2, w2)
             assert bisimilar == (formula is None), (i, w1, w2)
             assert (greatest_bisimulation(m1, m2)
                     == pair_deletion_oracle(m1, m2)), i
@@ -181,9 +180,8 @@ def test_criterion_5_finite_hennessy_milner():
 
         # the bundled strictness witness: a local atom separates a and b
         m = fixtures.load_fixture("dl_strictness_witness")
-        pa, pb = PointedModel(m, "a"), PointedModel(m, "b")
-        assert not are_bisimilar(pa, pb)
-        f = find_distinguishing_formula(pa, pb)
+        assert not are_bisimilar(m, "a", m, "b")
+        f = find_distinguishing_formula(m, "a", m, "b")
         assert modal_depth(f) == 0
         assert isinstance(f, DepL)
         assert evaluate(m, "a", f) != evaluate(m, "b", f)

@@ -2,9 +2,13 @@
 function, class and constant is used, as a name or an attribute, in the
 package outside its own definition, or in the benchmark harness, or is a
 console-script entry point.  A name only tests call belongs in the tests.
+Likewise every defaulted parameter of a public module-level function is
+passed by some call in the package or the benchmark harness; a knob only
+tests turn belongs in the tests.
 
 Uses are read from the syntax tree, so a word in a docstring or a comment,
-or a name that only calls itself, does not count."""
+a name that only calls itself, or a parameter that a function only passes
+on unchanged to itself, does not count."""
 
 import ast
 import tomllib
@@ -50,3 +54,58 @@ def test_every_public_name_has_a_caller():
               if not name.startswith("_") and name not in outside
               and not used_in[name] - {(path, i)}]
     assert not unused, "no caller outside tests:\n" + "\n".join(unused)
+
+
+def _argument(call: ast.Call, fn: ast.FunctionDef, param: str):
+    """What ``call`` passes for ``param`` of ``fn``: an expression, ``...``
+    when a starred argument may pass it, or None when nothing is passed."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+        if kw.arg is None:
+            return ...
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    if param not in positional:
+        return None
+    i = positional.index(param)
+    for j, arg in enumerate(call.args[:i + 1]):
+        if isinstance(arg, ast.Starred):
+            return ...
+        if j == i:
+            return arg
+    return None
+
+
+def _callee(call: ast.Call) -> str | None:
+    """The called name: ``f`` in ``f(...)`` and in ``mod.f(...)``."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[str]:
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    return ([p.arg for p in positional[len(positional) - len(a.defaults):]]
+            + [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
+
+
+def test_every_defaulted_parameter_is_passed():
+    package = [_parse(p) for p in sorted((ROOT / "src/depmodal").rglob("*.py"))]
+    harness = [_parse(p) for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    functions = [stmt for tree in package for stmt in tree.body
+                 if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")]
+    # every call, with the top-level function it sits in (None outside one)
+    calls = [(getattr(stmt, "name", None), node)
+             for tree in package + harness for stmt in tree.body
+             for node in ast.walk(stmt) if isinstance(node, ast.Call)]
+
+    def passes(owner, call, fn, param) -> bool:
+        arg = _argument(call, fn, param)
+        if arg is None:
+            return False
+        # a self-call handing its own parameter on unchanged turns no knob
+        return not (owner == fn.name and isinstance(arg, ast.Name) and arg.id == param)
+
+    unpassed = [f"{fn.name}.{param}" for fn in functions for param in _defaulted(fn)
+                if not any(passes(owner, call, fn, param) for owner, call in calls
+                           if _callee(call) == fn.name)]
+    assert not unpassed, "no caller outside tests passes:\n" + "\n".join(unpassed)

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depmodal.bisim import find_distinguishing_formula, greatest_bisimulation
-from depmodal.dependency import atom_holds_from_family, generative_sets, p_family
+from depmodal.dependency import atom_holds_from_family, generative_family, p_family
+from depmodal.errors import EvalError
 from depmodal.harness import GenParams, random_model
-from depmodal.model import PointedModel, load_model
+from depmodal.model import load_model
 from depmodal.semantics import evaluate
 from depmodal.syntax import GLOBAL, LOCAL, DepL, Prop, dep_atom, modal_depth
 
@@ -111,12 +112,12 @@ class TestCheckBisimulation:
 
     def test_witness_pair_fails_on_local_family(self, witness):
         # the stated local generative families differ between a and b
-        assert generative_sets(witness, "a", LOCAL).members == \
-            {vs("x"), vs("x", "y")}
-        assert generative_sets(witness, "b", LOCAL).members == \
-            {vs("x"), vs("y")}
-        assert generative_sets(witness, "a", GLOBAL) == \
-            generative_sets(witness, "b", GLOBAL)
+        def gen(w, kind):
+            return generative_family(p_family(witness, w, kind))
+
+        assert gen("a", LOCAL).members == {vs("x"), vs("x", "y")}
+        assert gen("b", LOCAL).members == {vs("x"), vs("y")}
+        assert gen("a", GLOBAL) == gen("b", GLOBAL)
         assert not bisimulation_oracle(witness, witness,
                                        {("a", "b")} | {(w, w) for w in witness.worlds})
 
@@ -220,7 +221,7 @@ class TestReplication:
         m1 = replicated(base, r1, q_worlds=set())
         m2 = replicated(base, r2, q_worlds={f"{w}_{sibling}"})
         p1, p2 = f"{w}_{j1}", f"{w}_{j2}"
-        f = find_distinguishing_formula(PointedModel(m1, p1), PointedModel(m2, p2))
+        f = find_distinguishing_formula(m1, p1, m2, p2)
         assert f is not None
         assert (recursive_eval_oracle(m1, p1, f, oracle_holds)
                 != recursive_eval_oracle(m2, p2, f, oracle_holds))
@@ -273,12 +274,12 @@ def test_split_twins_match_pair_deletion(m, other):
 class TestAreBisimilar:
     def test_point_specializations(self, witness):
         copy = relabeled(witness, "_c")
-        assert are_bisimilar(PointedModel(witness, "a"), PointedModel(copy, "a_c"))
-        assert not are_bisimilar(PointedModel(witness, "a"), PointedModel(witness, "b"))
+        assert are_bisimilar(witness, "a", copy, "a_c")
+        assert not are_bisimilar(witness, "a", witness, "b")
 
     def test_single_world_prop_difference(self):
         m1, m2 = one_world_model(1), one_world_model(0)
-        assert not are_bisimilar(PointedModel(m1, "o"), PointedModel(m2, "o"))
+        assert not are_bisimilar(m1, "o", m2, "o")
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +288,13 @@ class TestAreBisimilar:
 
 class TestDistinguishingFormula:
     def test_bisimilar_pair_gives_none_at_every_depth(self, witness):
+        # None: no formula of any modal depth separates the points
         copy = relabeled(witness, "_c")
-        for depth in (0, 1, 2, 5, 9):
-            assert find_distinguishing_formula(
-                PointedModel(witness, "b"), PointedModel(copy, "b_c"), depth) is None
+        for w in witness.worlds:
+            assert find_distinguishing_formula(witness, w, copy, w + "_c") is None
 
     def test_witness_yields_local_atom_at_depth_zero(self, witness):
-        f = find_distinguishing_formula(PointedModel(witness, "a"),
-                                        PointedModel(witness, "b"), 0)
+        f = find_distinguishing_formula(witness, "a", witness, "b")
         assert f == DepL(vs("y"), vs("y"))
         assert modal_depth(f) == 0
         assert evaluate(witness, "a", f) != evaluate(witness, "b", f)
@@ -309,20 +309,34 @@ class TestDistinguishingFormula:
 
     def test_prop_difference_found_at_depth_zero(self):
         m1, m2 = one_world_model(1), one_world_model(0)
-        f = find_distinguishing_formula(PointedModel(m1, "o"), PointedModel(m2, "o"), 0)
+        f = find_distinguishing_formula(m1, "o", m2, "o")
         assert f == Prop("p")
 
-    def test_depth_zero_misses_modal_difference(self, judging_case_1, judging_case_2):
-        # s in the two cases differs only through the epistemic structure
-        pm1 = PointedModel(judging_case_1, "s")
-        pm2 = PointedModel(judging_case_2, "s")
-        shallow = find_distinguishing_formula(pm1, pm2, 0)
-        deep = find_distinguishing_formula(pm1, pm2, None)
-        assert not are_bisimilar(pm1, pm2)
-        assert deep is not None
-        assert evaluate(judging_case_1, "s", deep) != evaluate(judging_case_2, "s", deep)
-        if shallow is None:
-            assert modal_depth(deep) >= 1
+    def test_depth_zero_misses_modal_difference(self, experiment_2runs,
+                                                experiment_3runs):
+        # w1 of the two experiments agrees on every atom (the same level-0
+        # cell), so only a formula with a box separates the points
+        m1, m2 = experiment_2runs, experiment_3runs
+        f = find_distinguishing_formula(m1, "w1", m2, "w1")
+        assert not are_bisimilar(m1, "w1", m2, "w1")
+        assert modal_depth(f) == 1
+        assert evaluate(m1, "w1", f) != evaluate(m2, "w1", f)
+
+    def test_signature_mismatch_rejected(self):
+        # never bisimilar, so "no formula separates them" would be wrong
+        m1 = one_world_model(1)
+        doc = m1.to_dict()
+        doc["propositions"].append("q")
+        doc["worlds"][0]["props"]["q"] = 0
+        m2 = load_model(doc)
+        assert not greatest_bisimulation(m1, m2)
+        for a, b in ((m1, m2), (m2, m1)):
+            with pytest.raises(EvalError, match="proposition signatures differ"):
+                find_distinguishing_formula(a, "o", b, "o")
+            # the worlds are checked first
+            for s, s2 in (("zz", "o"), ("o", "zz")):
+                with pytest.raises(EvalError, match="unknown world 'zz'"):
+                    find_distinguishing_formula(a, s, b, s2)
 
     def test_found_formulas_verified_by_evaluation(self):
         rng = random.Random(4)
@@ -334,8 +348,7 @@ class TestDistinguishingFormula:
             m2 = random_model(replace(params, seed=seed + 5000))
             w1 = rng.choice(m1.worlds)
             w2 = rng.choice(m2.worlds)
-            pm1, pm2 = PointedModel(m1, w1), PointedModel(m2, w2)
-            f = find_distinguishing_formula(pm1, pm2)
+            f = find_distinguishing_formula(m1, w1, m2, w2)
             if f is not None:
                 assert evaluate(m1, w1, f) != evaluate(m2, w2, f)
                 checked += 1
@@ -353,15 +366,8 @@ class TestDistinguishingFormula:
                 m2 = random_model(replace(params, seed=seed + 7000))
             w1 = rng.choice(m1.worlds)
             w2 = rng.choice(m2.worlds)
-            pm1, pm2 = PointedModel(m1, w1), PointedModel(m2, w2)
-            depth = len(m1.worlds) * len(m2.worlds)
-            formula = find_distinguishing_formula(pm1, pm2, depth)
-            assert are_bisimilar(pm1, pm2) == (formula is None)
-
-    def test_negative_depth_rejected(self, witness):
-        with pytest.raises(ValueError):
-            find_distinguishing_formula(PointedModel(witness, "a"),
-                                        PointedModel(witness, "b"), -1)
+            formula = find_distinguishing_formula(m1, w1, m2, w2)
+            assert are_bisimilar(m1, w1, m2, w2) == (formula is None)
 
 
 # ---------------------------------------------------------------------------

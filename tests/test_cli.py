@@ -6,7 +6,10 @@ import threading
 import pytest
 
 from depmodal.cli import main
-from depmodal.fixtures import fixture_names, fixture_path
+from depmodal.dependency import p_family
+from depmodal.fixtures import FIXTURES, fixture_names, fixture_path, load_fixture
+
+from oracles import connected_union_oracle
 
 
 def run(capsys, *argv):
@@ -189,6 +192,20 @@ class TestGenerative:
         assert data["verdicts"] == {"lemma": False, "partition": False,
                                     "graph": False}
         assert data["generative_family"] == [["x"], ["y"]]
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_families_match_oracle(self, capsys, name):
+        m = load_fixture(name)
+        for w in m.worlds:
+            for kind in ("g", "l"):
+                code, out, _ = run(capsys, "generative", fixture_path(name), w,
+                                   "--kind", kind, "--json")
+                assert code == 0
+                data = json.loads(out)
+                fam = p_family(m, w, data["kind"])
+                assert data["family"] == sorted(sorted(s) for s in fam)
+                assert data["generative_family"] == sorted(
+                    sorted(s) for s in connected_union_oracle(fam))
 
     def test_kind_required(self, capsys):
         code, _, _ = run(capsys, "generative", fixture_path("open_door"), "s")

@@ -5,8 +5,8 @@ import pytest
 
 from depmodal.dependency import (EvidenceFamily, METHODS,
                                  dep_holds_by_evidence, family,
-                                 generative_family, generative_sets,
-                                 is_evidence, is_generative, p_family, sigma)
+                                 generative_family, is_evidence, is_generative,
+                                 p_family, sigma)
 from depmodal.syntax import GLOBAL, LOCAL
 
 from oracles import connected_union_oracle, cover_oracle, random_family
@@ -197,8 +197,8 @@ class TestGenerativeFamily:
     def test_local_generative_family_inside_global(self, witness, judging_case_1):
         for m in (witness, judging_case_1):
             for w in m.worlds:
-                gl = generative_sets(m, w, LOCAL)
-                gg = generative_sets(m, w, GLOBAL)
+                gl = generative_family(p_family(m, w, LOCAL))
+                gg = generative_family(p_family(m, w, GLOBAL))
                 assert gl.members <= gg.members
 
 
@@ -250,8 +250,7 @@ def test_atom_agreement_iff_generative_families_match(witness, judging_case_1):
                     atom_holds_from_family(fam1, x, y)
                     == atom_holds_from_family(fam2, x, y)
                     for x, y in all_atom_pairs(support)) if support else True
-                same_g = (generative_sets(m1, w1, kind)
-                          == generative_sets(m2, w2, kind))
+                same_g = generative_family(fam1) == generative_family(fam2)
                 zigzag = (all(is_generative(fam2, w) for w in fam1)
                           and all(is_generative(fam1, w) for w in fam2))
                 assert agree == same_g == zigzag, (w1, w2, kind)

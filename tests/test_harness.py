@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -230,7 +230,7 @@ class TestSoundnessSuite:
 
     def test_report_serialization(self):
         report = soundness_suite(GenParams(seed=1), trials=5)
-        d = report.to_dict()
+        d = asdict(report)
         assert d["trials"] == 5
         assert d["counterexamples"] == []
 

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from depmodal.bisim import find_distinguishing_formula
 from depmodal.errors import EvalError, ModelError
 from depmodal.fixtures import fixture_text
-from depmodal.model import KripkeModel, PointedModel, load_model
+from depmodal.model import KripkeModel, load_model
 
 from oracles import agree_outside, delta, differs_on
 
@@ -292,9 +293,11 @@ class TestClasses:
 
 
 def test_pointed_model_checks_point(open_door):
-    assert PointedModel(open_door, "s").point == "s"
-    with pytest.raises(EvalError):
-        PointedModel(open_door, "zz")
+    # a pointed model (M, s) needs s in M, for either point of a comparison
+    assert find_distinguishing_formula(open_door, "s", open_door, "s") is None
+    for s, s2 in (("zz", "s"), ("s", "zz")):
+        with pytest.raises(EvalError, match="unknown world 'zz'"):
+            find_distinguishing_formula(open_door, s, open_door, s2)
 
 
 def test_constructor_direct_use():

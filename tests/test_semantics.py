@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depmodal import fixtures, semantics
-from depmodal.dependency import (dep_holds_by_evidence, generative_sets,
-                                 p_family)
+from depmodal.dependency import dep_holds_by_evidence, p_family
 from depmodal.errors import EvalError
 from depmodal.harness import GenParams, random_formula, random_model
 from depmodal.model import load_model
@@ -144,8 +143,7 @@ ASKS = pytest.mark.parametrize("ask", [
     lambda m, s, kind: dep_holds_direct(m, s, kind, vs("y"), vs("y")),
     lambda m, s, kind: dep_holds_by_evidence(m, s, kind, vs("y"), vs("y")),
     p_family,
-    generative_sets,
-], ids=["direct", "evidence", "p_family", "generative_sets"])
+], ids=["direct", "evidence", "p_family"])
 WARM = pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
 
 
@@ -214,8 +212,7 @@ def test_equal_rows_share_one_local_entry():
         "nomic_partition": [["u", "v", "w"], ["t"]]})
     asks = {"direct": lambda s: dep_holds_direct(m, s, LOCAL, vs("x"), vs("y")),
             "evidence": lambda s: dep_holds_by_evidence(m, s, LOCAL, vs("x"), vs("y")),
-            "family": lambda s: p_family(m, s, LOCAL),
-            "generative": lambda s: generative_sets(m, s, LOCAL)}
+            "family": lambda s: p_family(m, s, LOCAL)}
     for name, ask in asks.items():
         assert ask("u") is ask("v")
         ask("w")
@@ -367,16 +364,16 @@ class TestSemanticLaws:
         subsets = all_subsets(("x", "y", "z"))[1:]
 
         def answers(m):
-            gen, atoms = {}, {}
+            fams, atoms = {}, {}
             for w in m.worlds:
                 for kind in (GLOBAL, LOCAL):
-                    gen[w, kind] = generative_sets(m, w, kind)
+                    fams[w, kind] = p_family(m, w, kind)
                     for holds in (dep_holds_direct, dep_holds_by_evidence):
                         for x in subsets:
                             for y in subsets:
                                 atoms[holds.__name__, w, kind, x, y] = \
                                     holds(m, w, kind, x, y)
-            return gen, atoms
+            return fams, atoms
 
         start = threading.Barrier(8)
 
@@ -389,7 +386,7 @@ class TestSemanticLaws:
         try:
             # the serial run waits with a timeout too: a lock held around a
             # nested computation deadlocks even a single thread
-            expected_gen, expected_atoms = pool.submit(
+            expected_fams, expected_atoms = pool.submit(
                 answers, fixtures.load_fixture("experiment_3runs")).result(timeout=30)
             m = fixtures.load_fixture("experiment_3runs")
             sys.setswitchinterval(1e-5)
@@ -398,11 +395,11 @@ class TestSemanticLaws:
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown(wait=False, cancel_futures=True)
-        first_gen = results[0][0]
-        for gen, atoms in results:
+        first_fams = results[0][0]
+        for fams, atoms in results:
             assert atoms == expected_atoms
-            assert gen == expected_gen
-            assert all(gen[key] is first_gen[key] for key in gen)
+            assert fams == expected_fams
+            assert all(fams[key] is first_fams[key] for key in fams)
 
     def test_interdependence_cover_biconditional(self):
         # D(X,Y) <-> some nonempty sub-blocks of X and Y form one generative block
