@@ -17,10 +17,11 @@ bisimilar: their greatest bisimulation is empty, and
 
 from __future__ import annotations
 
-from typing import Iterable
+import itertools
+import operator
 
-from .dependency import (EvidenceFamily, atom_holds_from_family,
-                         generative_family, p_family)
+from .dependency import (EvidenceFamily, atom_holds_from_family, generative_family,
+                         p_family)
 from .errors import EvalError
 from .model import KripkeModel
 from .syntax import (GLOBAL, LOCAL, All, DepG, DepL, Formula, Know, Not, Prop,
@@ -44,10 +45,10 @@ def greatest_bisimulation(m: KripkeModel, m2: KripkeModel) -> frozenset[Pair]:
 # Partition refinement and distinguishing formulas
 # ---------------------------------------------------------------------------
 
-def _number(profiles: Iterable) -> list[int]:
+def _number(profiles: list) -> list[int]:
     """Cells of equal profile, numbered by first appearance in node order."""
-    ids: dict = {}
-    return [ids.setdefault(prof, len(ids)) for prof in profiles]
+    ids = dict(zip(dict.fromkeys(profiles), itertools.count()))
+    return list(map(ids.__getitem__, profiles))
 
 
 class _Refiner:
@@ -58,9 +59,13 @@ class _Refiner:
     Each epistemic and nomic class is a cell, a tuple of node ids sorted by
     world name; ``epi[v]`` and ``nomic[v]`` index node v's cells.  The two
     models declare the same propositions.  Level 0 groups nodes by the values
-    of the propositions and both generative families, read once per local
-    representative (its nomic class and row fix both difference families);
-    each distinct difference family is closed once for both models.
+    of the propositions and both generative families.  The difference
+    families are read once per anchor, from each nomic class's table (the
+    global family and one local family per distinct row); each distinct
+    difference family is closed once for both models, and each distinct
+    generative family gets a small int, its index in ``gens``.  A node's
+    level-0 profile is ``(proposition values, global id, local id)``, so
+    numbering it hashes ints.
     ``levels[j]`` splits each cell of level j-1 by the cells its members'
     epistemic and nomic classes reach.  The last level is stable, so its
     cells are the bisimilarity classes."""
@@ -70,41 +75,54 @@ class _Refiner:
         self.props = sorted(m.propositions)
         self.names = m.worlds + m2.worlds
         self.cells: list[tuple[int, ...]] = []
-        self.epi = [0] * len(self.names)
-        self.nomic = [0] * len(self.names)
-        self.closures: dict[EvidenceFamily, EvidenceFamily] = {}
-        profiles = []
+        self.epi: list[int] = []
+        self.nomic: list[int] = []
+        #: distinct generative families, indexed by id
+        self.gens: list[EvidenceFamily] = []
+        gen_ids: dict[frozenset, int] = {}
+        # difference family members -> the id of their closure
+        closed: dict[frozenset, int] = {}
+        values = operator.itemgetter(*self.props) if self.props else (lambda pv: ())
+        self.profiles: list[tuple] = []
         for mdl, offset in ((m, 0), (m2, len(m.worlds))):
-            for partition, cell_of in ((mdl.epistemic_partition, self.epi),
-                                       (mdl.nomic_partition, self.nomic)):
+            for partition, table, cell_of in (
+                    (mdl.epistemic_partition, mdl._epi_cell, self.epi),
+                    (mdl.nomic_partition, mdl._nomic_cell, self.nomic)):
+                index = {}
                 for cls in partition:
-                    cell = tuple(offset + mdl._widx[t] for t in sorted(cls))
-                    for v in cell:
-                        cell_of[v] = len(self.cells)
-                    self.cells.append(cell)
-            fams = {rep: (self.generative(mdl, rep, GLOBAL), self.generative(mdl, rep, LOCAL))
-                    for rep in dict.fromkeys(mdl._local_rep.values())}
-            profiles += [(tuple(mdl.valuation[w][p] for p in self.props),
-                          *fams[mdl._local_rep[w]]) for w in mdl.worlds]
-        self.levels: list[list[int]] = [_number(profiles)]
+                    index[cls] = len(self.cells)
+                    self.cells.append(tuple(map(offset.__add__,
+                                                map(mdl._widx.__getitem__, sorted(cls)))))
+                cell_of += map(index.__getitem__, map(table.__getitem__, mdl.worlds))
+            # each anchor's generative id: the nomic class's for the global
+            # family, the row representative's for the local one; any world
+            # of a class reads its global family
+            gen_of: dict = {}
+            anchored = [(GLOBAL, cls, next(iter(cls))) for cls in mdl.nomic_partition]
+            anchored += [(LOCAL, rep, rep) for rep in dict.fromkeys(mdl._local_rep.values())]
+            for kind, anchor, w in anchored:
+                fam = p_family(mdl, w, kind)
+                gid = closed.get(fam.members)
+                if gid is None:
+                    gen = generative_family(fam)
+                    gid = closed[fam.members] = gen_ids.setdefault(gen.members, len(gen_ids))
+                    if gid == len(self.gens):
+                        self.gens.append(gen)
+                gen_of[anchor] = gid
+            self.profiles += zip(
+                map(values, map(mdl.valuation.__getitem__, mdl.worlds)),
+                map(gen_of.__getitem__, map(mdl._nomic_cell.__getitem__, mdl.worlds)),
+                map(gen_of.__getitem__, map(mdl._local_rep.__getitem__, mdl.worlds)))
+        self.levels: list[list[int]] = [_number(self.profiles)]
         while True:
             prev = self.levels[-1]
-            reach = [frozenset([prev[t] for t in cell]) for cell in self.cells]
-            cur = _number(zip(prev, map(reach.__getitem__, self.epi),
-                              map(reach.__getitem__, self.nomic)))
+            reach = [frozenset(map(prev.__getitem__, cell)) for cell in self.cells]
+            cur = _number(list(zip(prev, map(reach.__getitem__, self.epi),
+                                   map(reach.__getitem__, self.nomic))))
             # numbering is canonical, so an unchanged partition compares equal
             if cur == prev:
                 break
             self.levels.append(cur)
-
-    def generative(self, mdl: KripkeModel, w: str, kind: str) -> EvidenceFamily:
-        """The generative family at ``w``, closed once per distinct
-        difference family of either model."""
-        fam = p_family(mdl, w, kind)
-        gen = self.closures.get(fam)
-        if gen is None:
-            gen = self.closures[fam] = generative_family(fam)
-        return gen
 
     def world(self, v: int) -> tuple[KripkeModel, str]:
         return self.models[v >= len(self.models[0].worlds)], self.names[v]
@@ -138,9 +156,9 @@ class _Refiner:
         for p in self.props:
             if ma.valuation[wa][p] != mb.valuation[wb][p]:
                 return Prop(p)
-        for kind in (GLOBAL, LOCAL):
-            ga = self.generative(ma, wa, kind)
-            gb = self.generative(mb, wb, kind)
+        for kind, i in ((GLOBAL, 1), (LOCAL, 2)):
+            ga = self.gens[self.profiles[a][i]]
+            gb = self.gens[self.profiles[b][i]]
             diff = sorted(ga.members ^ gb.members, key=lambda s: (len(s), sorted(s)))
             for w in diff:
                 for atom in _block_atoms(kind, w):

@@ -8,11 +8,21 @@ member is an evidence for them.  A set ``w`` is *generative* from a family
 when every evidence role ``w`` could play is already covered by a family
 member; the family of all generative sets is the model-theoretic fingerprint
 that determines every dependency atom at a world.
+
+Each nomic class has one table of difference families, keyed by anchor:
+the global family under the class, and each distinct row's local family
+under the row's representative.  The class's distinct rows are found once
+and bucketed by their hidden values (rows that differ on a hidden variable
+make no admissible pair).  A family is built on its first request: a local
+one from the rows of its row's bucket, the global one from each unordered
+pair of rows in a bucket, visited once.  A check at one world reads only a
+few anchors of a class, so the table is not filled eagerly.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -36,10 +46,7 @@ class EvidenceFamily:
     @property
     def support(self) -> VarSet:
         """Union of all members."""
-        out: set[str] = set()
-        for m in self.members:
-            out |= m
-        return frozenset(out)
+        return frozenset().union(*self.members)
 
     def __iter__(self):
         return iter(self.members)
@@ -66,20 +73,43 @@ def p_family(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
     all pairs inside s's nomic class for the global kind, pairs anchored at
     ``s`` itself for the local kind.  The local family is always a subset of
     the global one."""
-    return m._memo(("family", kind, m._anchor(s, kind)), _family_miss, m, s, kind)
-
-
-def _family_miss(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
-    # worlds with equal rows differ nowhere, so distinct rows suffice
-    rows = {m._row[t] for t in m.nomic_class(s)}
+    anchor = m._anchor(s, kind)
+    key = ("families", m._nomic_cell[s])
+    # a hit reads the memo table without the ``_memo`` call: every atom
+    # miss of the evidence route comes here
+    buckets, table = m._memo_table.get(key) or m._memo(key, _class_rows, m, key[1])
+    fam = table.get(anchor)
+    if fam is not None:
+        return fam
+    named = m.named_variables
     if kind == GLOBAL:
-        # the difference set is symmetric and empty on (u, u)
-        members = {m._delta(u, v) for u, v in itertools.combinations(rows, 2)}
+        members = {_diff(named, u, v) for bucket in buckets.values()
+                   for u, v in itertools.combinations(bucket, 2)}
     else:
         own = m._row[s]
-        members = {m._delta(u, own) for u in rows}
-    members.discard(frozenset())
-    return EvidenceFamily(frozenset(members))
+        members = {_diff(named, u, own) for u in buckets[own[len(named):]] if u != own}
+    with m._cache_lock:
+        return table.setdefault(anchor, EvidenceFamily(frozenset(members)))
+
+
+def _class_rows(m: KripkeModel, cell: frozenset[str]) -> tuple[dict, dict]:
+    """A nomic class's distinct rows, bucketed by their hidden values, and
+    its table of difference families, empty until ``p_family`` fills it."""
+    # worlds with equal rows differ nowhere, so distinct rows suffice; rows
+    # that differ on a hidden variable make no admissible pair, so rows are
+    # paired only inside a bucket, where two distinct rows differ on some
+    # named variable
+    first_hidden = len(m.named_variables)
+    buckets: dict[tuple, list[tuple]] = {}
+    for row in set(map(m._row.__getitem__, cell)):
+        buckets.setdefault(row[first_hidden:], []).append(row)
+    return buckets, {}
+
+
+def _diff(named: tuple[str, ...], u: tuple, v: tuple) -> VarSet:
+    """The named variables on which rows ``u`` and ``v`` differ; rows list
+    the named variables first."""
+    return frozenset(itertools.compress(named, map(operator.ne, u, v)))
 
 
 def atom_holds_from_family(fam: EvidenceFamily, x: VarSet, y: VarSet) -> bool:

@@ -21,22 +21,34 @@ Model documents are JSON objects:
 
 ``mirrors`` pins a variable to a proposition: at every world the variable's
 value must equal the proposition's truth value.  Models are immutable after
-construction; read-only sharing across threads is safe.  Derived answers
-(dependency atoms and difference families) are cached per model by their
-anchor, and computed outside the cache lock because computations nest.
-Generative families are not cached here: they depend only on the difference
-family, so callers close each distinct family themselves.  A global answer
-is anchored at the world's nomic class.  A local answer reads only the
-world's nomic class and its row of variable values, so it is anchored at the
-world's representative: the first world in model order with the same nomic
-class and the same row.  Worlds with equal rows in one class share every
-local answer.
+construction; read-only sharing across threads is safe.
+
+Validation checks the valuation, the assignment and the partitions in passes
+over the whole model (value types, the least value, key counts, cell
+sizes), which also build each world's row of variable values.  Only when a
+pass fails does a world-by-world loop run, to report the first offending
+entry in model order.
+
+Derived answers are cached per model, and computed outside the cache lock
+because computations nest.  A global answer is anchored at the world's
+nomic class.  A local answer reads only the world's nomic class and its row
+of variable values, so it is anchored at the world's representative: the
+first world in model order with the same nomic class and the same row.
+Worlds with equal rows in one class share every local answer.  Dependency
+atoms are cached by their anchor; difference families in one table per
+nomic class, which holds the global family and the local family of each
+distinct row, keyed by their anchors and filled as they are asked for.
+Generative families are not cached
+here: they depend only on the difference family, so callers close each
+distinct family themselves.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import EvalError, ModelError
@@ -60,6 +72,23 @@ def _check_value(value: object, world: str, name: str) -> int:
     return value
 
 
+def _rows(dicts: list[dict], names: tuple[str, ...]) -> list[tuple]:
+    """Each dict's values at ``names``, as a tuple; ``KeyError`` for a
+    missing name."""
+    if len(names) > 1:
+        return list(map(itemgetter(*names), dicts))
+    # itemgetter returns a bare value for one name and needs at least one
+    return list(zip(map(itemgetter(*names), dicts))) if names else [()] * len(dicts)
+
+
+def _cell_table(partition: tuple[frozenset[str], ...]) -> dict[str, frozenset[str]]:
+    """Each world's cell of ``partition``."""
+    table: dict[str, frozenset[str]] = {}
+    for cell in partition:
+        table.update(dict.fromkeys(cell, cell))
+    return table
+
+
 class KripkeModel:
     """Validated finite model; all structural invariants hold after __init__."""
 
@@ -76,11 +105,13 @@ class KripkeModel:
         self.worlds: tuple[str, ...] = tuple(worlds)
         if not self.worlds:
             raise ModelError("model must have at least one world")
-        if len(set(self.worlds)) != len(self.worlds):
+        distinct = set(self.worlds)
+        if len(distinct) != len(self.worlds):
             raise ModelError("duplicate world identifiers")
-        for w in self.worlds:
-            if not isinstance(w, str) or not w:
-                raise ModelError(f"world identifier {w!r} must be a non-empty string")
+        if not set(map(type, distinct)) <= {str} or "" in distinct:
+            for w in self.worlds:
+                if not isinstance(w, str) or not w:
+                    raise ModelError(f"world identifier {w!r} must be a non-empty string")
         self._widx = {w: i for i, w in enumerate(self.worlds)}
 
         self.propositions: tuple[str, ...] = tuple(propositions)
@@ -112,34 +143,10 @@ class KripkeModel:
                     f"variable but is not its own mirror")
 
         # totality of the valuation and the assignment
-        self.valuation: dict[str, dict[str, int]] = {}
-        self.assignment: dict[str, dict[str, int]] = {}
         all_vars = self.named_variables + self.hidden_variables
-        for w in self.worlds:
-            if w not in valuation:
-                raise ModelError(f"world {w!r}: no proposition valuation given")
-            if w not in assignment:
-                raise ModelError(f"world {w!r}: no variable assignment given")
-            pv = dict(valuation[w])
-            for p in pv:
-                if p not in prop_set:
-                    raise ModelError(f"world {w!r}: undeclared proposition {p!r}")
-            for p in self.propositions:
-                if p not in pv:
-                    raise ModelError(f"world {w!r}: missing valuation for proposition {p!r}")
-                if type(pv[p]) is not int or pv[p] not in (0, 1):
-                    raise ModelError(
-                        f"world {w!r}: proposition {p!r} must be 0 or 1, got {pv[p]!r}")
-            av = dict(assignment[w])
-            for x in av:
-                if x not in names:
-                    raise ModelError(f"world {w!r}: undeclared variable {x!r}")
-            for x in all_vars:
-                if x not in av:
-                    raise ModelError(f"world {w!r}: missing value for variable {x!r}")
-                _check_value(av[x], w, x)
-            self.valuation[w] = pv
-            self.assignment[w] = av
+        pvs, avs, rows = self._value_tables(valuation, assignment, all_vars)
+        self.valuation: dict[str, dict[str, int]] = dict(zip(self.worlds, pvs))
+        self.assignment: dict[str, dict[str, int]] = dict(zip(self.worlds, avs))
 
         self.epistemic_partition = self._check_partition(epistemic_partition, "epistemic")
         self.nomic_partition = self._check_partition(nomic_partition, "nomic")
@@ -159,24 +166,96 @@ class KripkeModel:
         # internal lookup structures for the evaluation hot path: each
         # world's row of values, in ``_var_pos`` order
         self._var_pos = {x: i for i, x in enumerate(all_vars)}
-        self._row = {w: tuple(self.assignment[w][x] for x in all_vars)
-                     for w in self.worlds}
+        self._row = dict(zip(self.worlds, rows))
         self._named_set = frozenset(self.named_variables)
-        self._named_enum = tuple((self._var_pos[x], x) for x in self.named_variables)
-        self._hidden_idx = tuple(self._var_pos[x] for x in self.hidden_variables)
-        self._epi_cell = {w: cell for cell in self.epistemic_partition for w in cell}
-        self._nomic_cell = {w: cell for cell in self.nomic_partition for w in cell}
+        self._epi_cell = _cell_table(self.epistemic_partition)
+        self._nomic_cell = _cell_table(self.nomic_partition)
+        # ``first`` maps (nomic class, row) to the first world that has them
         first: dict = {}
-        self._local_rep = {w: first.setdefault((self._nomic_cell[w], self._row[w]), w)
-                           for w in self.worlds}
+        reps = map(first.setdefault,
+                   zip(map(self._nomic_cell.__getitem__, self.worlds), rows), self.worlds)
+        self._local_rep = dict(zip(self.worlds, reps))
         # ``_anchor``'s per-world table for each kind
         self._anchor_table = {GLOBAL: self._nomic_cell, LOCAL: self._local_rep}
 
         self._cache_lock = threading.Lock()
         self._memo_table: dict = {}
 
+    def _value_tables(self, valuation: Mapping[str, Mapping[str, int]],
+                      assignment: Mapping[str, Mapping[str, int]],
+                      all_vars: tuple[str, ...]) -> tuple[list, list, list]:
+        """Each world's proposition values and variable values, as fresh
+        dicts in model order, and its row of variable values in ``all_vars``
+        order.  The checks run as passes over the whole model; only when one
+        fails does the per-world loop run, to report the first offending
+        entry."""
+        try:
+            pvs = list(map(dict, map(valuation.__getitem__, self.worlds)))
+            avs = list(map(dict, map(assignment.__getitem__, self.worlds)))
+            truth = list(chain.from_iterable(_rows(pvs, self.propositions)))
+            rows = _rows(avs, all_vars)
+            values = list(chain.from_iterable(rows))
+            # a dict that has every declared name and no more entries has no
+            # other name; bool is an int subclass, so the type test rejects it
+            valid = (set(map(len, pvs)) <= {len(self.propositions)}
+                     and set(map(len, avs)) <= {len(all_vars)}
+                     and set(map(type, chain(truth, values))) <= {int}
+                     and set(truth) <= {0, 1}
+                     and min(values, default=0) >= 0)
+        except (LookupError, TypeError, ValueError):
+            # a missing world or name, or a value dict() cannot take: the
+            # per-world loop reports it
+            valid = False
+        if not valid:
+            pvs, avs = self._check_each_world(valuation, assignment, all_vars)
+            rows = _rows(avs, all_vars)
+        return pvs, avs, rows
+
+    def _check_each_world(self, valuation: Mapping[str, Mapping[str, int]],
+                          assignment: Mapping[str, Mapping[str, int]],
+                          all_vars: tuple[str, ...]) -> tuple[list, list]:
+        """``_value_tables``'s dicts, checked world by world; raises for the
+        first offending entry in model order."""
+        prop_set, var_set = set(self.propositions), set(all_vars)
+        pvs, avs = [], []
+        for w in self.worlds:
+            if w not in valuation:
+                raise ModelError(f"world {w!r}: no proposition valuation given")
+            if w not in assignment:
+                raise ModelError(f"world {w!r}: no variable assignment given")
+            pv = dict(valuation[w])
+            for p in pv:
+                if p not in prop_set:
+                    raise ModelError(f"world {w!r}: undeclared proposition {p!r}")
+            for p in self.propositions:
+                if p not in pv:
+                    raise ModelError(f"world {w!r}: missing valuation for proposition {p!r}")
+                if type(pv[p]) is not int or pv[p] not in (0, 1):
+                    raise ModelError(
+                        f"world {w!r}: proposition {p!r} must be 0 or 1, got {pv[p]!r}")
+            av = dict(assignment[w])
+            for x in av:
+                if x not in var_set:
+                    raise ModelError(f"world {w!r}: undeclared variable {x!r}")
+            for x in all_vars:
+                if x not in av:
+                    raise ModelError(f"world {w!r}: missing value for variable {x!r}")
+                _check_value(av[x], w, x)
+            pvs.append(pv)
+            avs.append(av)
+        return pvs, avs
+
     def _check_partition(self, cells: Iterable[Iterable[str]],
                          label: str) -> tuple[frozenset[str], ...]:
+        cells = list(cells)
+        try:
+            members = list(map(tuple, cells))
+            # n members that cover the n worlds repeat none and name no other
+            if (() not in members and sum(map(len, members)) == len(self.worlds)
+                    and set().union(*members) == self._widx.keys()):
+                return tuple(map(frozenset, members))
+        except TypeError:
+            pass
         seen: set[str] = set()
         out = []
         for cell in cells:
@@ -250,14 +329,6 @@ class KripkeModel:
         """The nomic partition cell containing ``w``."""
         return self._at(self._nomic_cell, w)
 
-    def _delta(self, vu: tuple, vv: tuple) -> VarSet:
-        """Named variables on which rows ``vu`` and ``vv`` differ, provided
-        they agree on every hidden variable; the empty set otherwise."""
-        for i in self._hidden_idx:
-            if vu[i] != vv[i]:
-                return frozenset()
-        return frozenset(x for i, x in self._named_enum if vu[i] != vv[i])
-
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -283,6 +354,25 @@ class KripkeModel:
 _DOC_FIELDS = {"propositions", "variables", "worlds", "epistemic_partition",
                "nomic_partition", "mirrors", "comment"}
 _WORLD_FIELDS = {"id", "props", "vals"}
+_WORLD_KEYS = dict.fromkeys(_WORLD_FIELDS).keys()
+
+
+def _check_each_entry(entries: list) -> tuple[list, list, list]:
+    """The ids, valuations and assignments of the world entries, checked
+    entry by entry; raises for the first malformed one."""
+    worlds, props, vals = [], [], []
+    for entry in entries:
+        if not isinstance(entry, dict) or set(entry) != _WORLD_FIELDS:
+            raise ModelError(f'world entry must be {{"id", "props", "vals"}}, '
+                             f"got {entry!r}")
+        if not (isinstance(entry["id"], str) and isinstance(entry["props"], dict)
+                and isinstance(entry["vals"], dict)):
+            raise ModelError(f'world entry {entry!r}: "id" must be a string, '
+                             f'"props" and "vals" objects')
+        worlds.append(entry["id"])
+        props.append(entry["props"])
+        vals.append(entry["vals"])
+    return worlds, props, vals
 
 
 def load_model(doc: str | dict) -> KripkeModel:
@@ -311,24 +401,27 @@ def load_model(doc: str | dict) -> KripkeModel:
                              f'{{"name": ..., "hidden": ...}}')
         variables.append((entry["name"], entry["hidden"]))
 
-    worlds, valuation, assignment = [], {}, {}
-    for entry in doc["worlds"]:
-        if not isinstance(entry, dict) or set(entry) != _WORLD_FIELDS:
-            raise ModelError(f'world entry must be {{"id", "props", "vals"}}, '
-                             f"got {entry!r}")
-        w = entry["id"]
-        if not (isinstance(w, str) and isinstance(entry["props"], dict)
-                and isinstance(entry["vals"], dict)):
-            raise ModelError(f'world entry {entry!r}: "id" must be a string, '
-                             f'"props" and "vals" objects')
-        worlds.append(w)
-        valuation[w] = entry["props"]
-        assignment[w] = entry["vals"]
+    entries = doc["worlds"]
+    if (set(map(type, entries)) <= {dict}
+            and all(map(_WORLD_KEYS.__eq__, map(dict.keys, entries)))):
+        worlds = list(map(itemgetter("id"), entries))
+        props = list(map(itemgetter("props"), entries))
+        vals = list(map(itemgetter("vals"), entries))
+        well_typed = (set(map(type, worlds)) <= {str} and set(map(type, props)) <= {dict}
+                      and set(map(type, vals)) <= {dict})
+    else:
+        well_typed = False
+    if not well_typed:
+        worlds, props, vals = _check_each_entry(entries)
+    valuation, assignment = dict(zip(worlds, props)), dict(zip(worlds, vals))
     for field in ("epistemic_partition", "nomic_partition"):
-        for cell in doc[field]:
-            if not (isinstance(cell, list) and all(isinstance(w, str) for w in cell)):
-                raise ModelError(f"field {field!r}: cell {cell!r} must be a list "
-                                 f"of world identifiers")
+        cells = doc[field]
+        if not (set(map(type, cells)) <= {list}
+                and set(map(type, chain.from_iterable(cells))) <= {str}):
+            for cell in cells:
+                if not (isinstance(cell, list) and all(isinstance(w, str) for w in cell)):
+                    raise ModelError(f"field {field!r}: cell {cell!r} must be a list "
+                                     f"of world identifiers")
 
     mirrors = doc.get("mirrors", {})
     if not (isinstance(mirrors, dict)

@@ -115,6 +115,58 @@ class TestLoad:
         with pytest.raises(ModelError, match="must be 0 or 1"):
             load_model(doc)
 
+    @pytest.mark.parametrize("faults, message", [
+        # model order first: w0's negative value before w1's undeclared name
+        ([(("worlds", 0, "vals", "x"), -1), (("worlds", 1, "props", "zz"), 1)],
+         "world 'u': value for variable 'x' must be a non-negative integer, got -1"),
+        # one world: its propositions before its variables
+        ([(("worlds", 0, "vals"), {"x": 0}), (("worlds", 0, "props", "p"), 2)],
+         "world 'u': proposition 'p' must be 0 or 1, got 2"),
+        # one world: undeclared names before missing ones
+        ([(("worlds", 1, "vals", "zz"), 0), (("worlds", 1, "vals"), {"x": 0, "zz": 0})],
+         "world 'v': undeclared variable 'zz'"),
+        ([(("worlds", 1, "props"), {}), (("worlds", 0, "vals", "h"), True)],
+         "world 'u': value for variable 'h' must be a non-negative integer, got True"),
+        ([(("worlds", 1, "props", "p"), True), (("worlds", 1, "vals", "x"), -2)],
+         "world 'v': proposition 'p' must be 0 or 1, got True"),
+        ([(("worlds", 0, "props", "p"), 1.0), (("worlds", 1, "vals", "x"), 1.5)],
+         "world 'u': proposition 'p' must be 0 or 1, got 1.0"),
+        # a repeated world in one cell before an unknown world in a later one
+        ([(("epistemic_partition",), [["u", "u"], ["v", "zz"]])],
+         "world 'u' appears in more than one cell of the epistemic partition"),
+        ([(("epistemic_partition",), [["u"], ["zz", "v"], ["u"]])],
+         "epistemic partition references unknown world 'zz'"),
+        ([(("epistemic_partition",), [["u"]]), (("nomic_partition",), [[]])],
+         "world 'v' not covered by the epistemic partition"),
+        ([(("nomic_partition",), [["u"], [], ["zz"]])],
+         "nomic partition contains an empty cell"),
+        # every value fault before any partition fault
+        ([(("nomic_partition",), [["zz"]]), (("worlds", 1, "vals", "x"), -1)],
+         "world 'v': value for variable 'x' must be a non-negative integer, got -1"),
+        # world entries in document order
+        ([(("worlds", 1), {"id": "v", "props": {}}), (("worlds", 0, "id"), 7)],
+         "world entry {'id': 7, 'props': {'p': 1}, 'vals': {'x': 0, 'h': 0}}: "
+         '"id" must be a string, "props" and "vals" objects'),
+        ([(("worlds", 1, "vals", "x"), -1), (("worlds", 0, "id"), "v")],
+         "duplicate world identifiers"),
+        ([(("worlds", 0, "id"), ""), (("worlds", 1, "vals", "x"), -1)],
+         "world identifier '' must be a non-empty string"),
+        ([(("nomic_partition",), [["u"], "v"]), (("epistemic_partition", 0), ["u", 3])],
+         "field 'epistemic_partition': cell ['u', 3] must be a list of world identifiers"),
+    ])
+    def test_first_fault_in_document_order_is_reported(self, faults, message):
+        # the whole-model checks find that a document is faulty; the message
+        # names the same first offending entry as a world-by-world check
+        doc = tiny_model()
+        for (*parents, last), value in faults:
+            target = doc
+            for key in parents:
+                target = target[key]
+            target[last] = value
+        with pytest.raises(ModelError) as err:
+            load_model(doc)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("path, value", [
         (("worlds", 0, "props", "p"), 1.0),
         (("worlds", 0, "props"), [1]),
@@ -311,3 +363,24 @@ def test_constructor_direct_use():
         nomic_partition=[["a"]],
     )
     assert m.assignment["a"]["x"] == 5
+
+
+def test_constructor_accepts_what_only_the_per_world_check_accepts():
+    # an int subclass other than bool is a valid variable value; the
+    # whole-model pass tests exact types, so this model takes the per-world
+    # path, which must build the same tables
+    class Level(int):
+        pass
+
+    m = KripkeModel(
+        worlds=["a", "b"],
+        propositions=["p"],
+        variables=[("x", False), ("h", True)],
+        valuation={"a": {"p": 1}, "b": {"p": 0}},
+        assignment={"a": {"x": Level(2), "h": 0}, "b": {"h": 1, "x": 0}},
+        epistemic_partition=[["a", "b"]],
+        nomic_partition=[["b", "a"]],
+    )
+    assert m._row == {"a": (2, 0), "b": (0, 1)}
+    assert m.assignment == {"a": {"x": 2, "h": 0}, "b": {"h": 1, "x": 0}}
+    assert m._local_rep == {"a": "a", "b": "b"}

@@ -210,9 +210,9 @@ def test_equal_rows_share_one_local_entry():
                                    ("t", {"x": 0, "y": 0, "h": 0}))],
         "epistemic_partition": [["u", "v", "w", "t"]],
         "nomic_partition": [["u", "v", "w"], ["t"]]})
+    # atoms are memoized per anchor
     asks = {"direct": lambda s: dep_holds_direct(m, s, LOCAL, vs("x"), vs("y")),
-            "evidence": lambda s: dep_holds_by_evidence(m, s, LOCAL, vs("x"), vs("y")),
-            "family": lambda s: p_family(m, s, LOCAL)}
+            "evidence": lambda s: dep_holds_by_evidence(m, s, LOCAL, vs("x"), vs("y"))}
     for name, ask in asks.items():
         assert ask("u") is ask("v")
         ask("w")
@@ -220,16 +220,33 @@ def test_equal_rows_share_one_local_entry():
         anchors = [key[-1] for key in m._memo_table
                    if key[0] == name and key[1] == LOCAL]
         assert sorted(anchors) == ["t", "u", "w"], name
+    # difference families are memoized in one table per nomic class, which
+    # holds the class's global family and one local family per distinct row,
+    # keyed by their anchors
+    local = {s: p_family(m, s, LOCAL) for s in ("u", "v", "w", "t")}
+    assert local["u"] is local["v"]
+    assert local["w"] is not local["u"] and local["t"] is not local["u"]
+    total = {s: p_family(m, s, GLOBAL) for s in ("u", "v", "w", "t")}
+    assert total["u"] is total["v"] is total["w"] and total["t"] is not total["u"]
+    tables = {key[1]: entry[1] for key, entry in m._memo_table.items()
+              if key[0] == "families"}
+    big, lone = m.nomic_class("u"), m.nomic_class("t")
+    assert set(tables) == {big, lone}
+    assert set(tables[big]) == {big, "u", "w"} and set(tables[lone]) == {lone, "t"}
+    assert tables[big]["u"] is local["u"] and tables[big]["w"] is local["w"]
+    assert tables[big][big] is total["u"]
+    assert tables[lone]["t"] is local["t"] and tables[lone][lone] is total["t"]
 
 
 @st.composite
 def models_with_repeated_rows(draw):
     """Models whose worlds take fewer distinct rows than there are worlds, so
-    some rows repeat, with a hidden variable that splits some named-equal
-    rows and one to three nomic classes."""
-    named = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    some rows repeat, with zero to three named variables, zero to two hidden
+    ones that split some named-equal rows, and one to three nomic classes."""
+    named = [f"x{i}" for i in range(draw(st.integers(0, 3)))]
+    hidden = [f"h{i}" for i in range(draw(st.integers(0, 2)))]
     n = draw(st.integers(2, 8))
-    row = st.tuples(*[st.integers(0, 2)] * len(named), st.integers(0, 1))
+    row = st.tuples(*[st.integers(0, 2)] * len(named), *[st.integers(0, 1)] * len(hidden))
     rows = draw(st.lists(row, min_size=1, max_size=n - 1))
     picks = draw(st.lists(st.sampled_from(rows), min_size=n, max_size=n))
     classes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
@@ -237,8 +254,8 @@ def models_with_repeated_rows(draw):
     return load_model({
         "propositions": [],
         "variables": ([{"name": x, "hidden": False} for x in named]
-                      + [{"name": "h", "hidden": True}]),
-        "worlds": [{"id": w, "props": {}, "vals": dict(zip(named + ["h"], r))}
+                      + [{"name": h, "hidden": True} for h in hidden]),
+        "worlds": [{"id": w, "props": {}, "vals": dict(zip(named + hidden, r))}
                    for w, r in zip(worlds, picks)],
         "epistemic_partition": [worlds],
         "nomic_partition": [[w for w, c in zip(worlds, classes) if c == label]
