@@ -77,11 +77,10 @@ class _Refiner:
         self.cells: list[tuple[int, ...]] = []
         self.epi: list[int] = []
         self.nomic: list[int] = []
-        #: distinct generative families, indexed by id
-        self.gens: list[EvidenceFamily] = []
-        gen_ids: dict[frozenset, int] = {}
-        # difference family members -> the id of their closure
-        closed: dict[frozenset, int] = {}
+        # distinct generative families -> their ids, in id order
+        gen_ids: dict[EvidenceFamily, int] = {}
+        # difference family -> the id of its closure
+        closed: dict[EvidenceFamily, int] = {}
         values = operator.itemgetter(*self.props) if self.props else (lambda pv: ())
         self.profiles: list[tuple] = []
         for mdl, offset in ((m, 0), (m2, len(m.worlds))):
@@ -102,17 +101,17 @@ class _Refiner:
             anchored += [(LOCAL, rep, rep) for rep in dict.fromkeys(mdl._local_rep.values())]
             for kind, anchor, w in anchored:
                 fam = p_family(mdl, w, kind)
-                gid = closed.get(fam.members)
+                gid = closed.get(fam)
                 if gid is None:
-                    gen = generative_family(fam)
-                    gid = closed[fam.members] = gen_ids.setdefault(gen.members, len(gen_ids))
-                    if gid == len(self.gens):
-                        self.gens.append(gen)
+                    gid = closed[fam] = gen_ids.setdefault(generative_family(fam),
+                                                           len(gen_ids))
                 gen_of[anchor] = gid
             self.profiles += zip(
                 map(values, map(mdl.valuation.__getitem__, mdl.worlds)),
                 map(gen_of.__getitem__, map(mdl._nomic_cell.__getitem__, mdl.worlds)),
                 map(gen_of.__getitem__, map(mdl._local_rep.__getitem__, mdl.worlds)))
+        #: distinct generative families, indexed by id
+        self.gens: list[EvidenceFamily] = list(gen_ids)
         self.levels: list[list[int]] = [_number(self.profiles)]
         while True:
             prev = self.levels[-1]
@@ -159,7 +158,7 @@ class _Refiner:
         for kind, i in ((GLOBAL, 1), (LOCAL, 2)):
             ga = self.gens[self.profiles[a][i]]
             gb = self.gens[self.profiles[b][i]]
-            diff = sorted(ga.members ^ gb.members, key=lambda s: (len(s), sorted(s)))
+            diff = sorted(ga ^ gb, key=lambda s: (len(s), sorted(s)))
             for w in diff:
                 for atom in _block_atoms(kind, w):
                     if self._atom_true_at(a, atom) != self._atom_true_at(b, atom):

@@ -192,10 +192,10 @@ def cmd_generative(args) -> int:
     kind = _KIND[args.kind]
     fam = p_family(m, w, kind)
     gen = generative_family(fam)
-    lines = [f"family: {_fmt_family(fam.members)}"]
+    lines = [f"family: {_fmt_family(fam)}"]
     payload: dict = {"command": "generative", "world": w, "kind": kind,
-                     "family": sorted(sorted(s) for s in fam.members),
-                     "generative_family": sorted(sorted(s) for s in gen.members)}
+                     "family": sorted(sorted(s) for s in fam),
+                     "generative_family": sorted(sorted(s) for s in gen)}
     if args.varset_pos is not None:
         candidate = parse_varset(args.varset_pos)
         if not candidate:
@@ -210,7 +210,7 @@ def cmd_generative(args) -> int:
         payload["candidate"] = sorted(candidate)
         payload["sigma"] = sorted(sorted(s) for s in sig)
         payload["verdicts"] = verdicts
-    lines.append(f"generative family: {_fmt_family(gen.members)}")
+    lines.append(f"generative family: {_fmt_family(gen)}")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 

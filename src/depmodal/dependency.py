@@ -1,13 +1,15 @@
 """Evidence families and generative sets.
 
-A world's difference family collects, for every admissible pair of lawlike
-alternatives, the set of named variables on which the pair disagrees.  A
-variable set is an *evidence* for an atom when it meets both argument sets
-and stays inside their union; dependency atoms hold exactly when some family
-member is an evidence for them.  A set ``w`` is *generative* from a family
-when every evidence role ``w`` could play is already covered by a family
-member; the family of all generative sets is the model-theoretic fingerprint
-that determines every dependency atom at a world.
+A family is a frozenset of nonempty variable sets (``EvidenceFamily``
+subclasses ``frozenset`` and rejects the empty set).  A world's difference
+family collects, for every admissible pair of lawlike alternatives, the set
+of named variables on which the pair disagrees.  A variable set is an
+*evidence* for an atom when it meets both argument sets and stays inside
+their union; dependency atoms hold exactly when some family member is an
+evidence for them.  A set ``w`` is *generative* from a family when every
+evidence role ``w`` could play is already covered by a family member; the
+family of all generative sets is the model-theoretic fingerprint that
+determines every dependency atom at a world.
 
 Each nomic class has one table of difference families, keyed by anchor:
 the global family under the class, and each distinct row's local family
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterable
 
 from .model import KripkeModel
@@ -32,35 +33,24 @@ from .syntax import GLOBAL, VarSet
 METHODS = ("lemma", "partition", "graph")
 
 
-@dataclass(frozen=True)
-class EvidenceFamily:
-    """A finite family of nonempty variable sets."""
+class EvidenceFamily(frozenset):
+    """A finite family of nonempty variable sets: a frozenset of them."""
 
-    members: frozenset[VarSet]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for m in self.members:
-            if not m:
-                raise ValueError("evidence family members must be nonempty")
+    def __new__(cls, members: Iterable[VarSet]):
+        self = super().__new__(cls, members)
+        if frozenset() in self:
+            raise ValueError("evidence family members must be nonempty")
+        return self
 
     @property
     def support(self) -> VarSet:
         """Union of all members."""
-        return frozenset().union(*self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, w: VarSet) -> bool:
-        return w in self.members
+        return frozenset().union(*self)
 
 
-def family(members: Iterable[VarSet]) -> EvidenceFamily:
-    return EvidenceFamily(frozenset(members))
-
+family = EvidenceFamily
 
 
 def is_evidence(w: VarSet, x: VarSet, y: VarSet) -> bool:
@@ -89,7 +79,7 @@ def p_family(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
         own = m._row[s]
         members = {_diff(named, u, own) for u in buckets[own[len(named):]] if u != own}
     with m._cache_lock:
-        return table.setdefault(anchor, EvidenceFamily(frozenset(members)))
+        return table.setdefault(anchor, EvidenceFamily(members))
 
 
 def _class_rows(m: KripkeModel, cell: frozenset[str]) -> tuple[dict, dict]:
@@ -138,7 +128,7 @@ def sigma(p: EvidenceFamily, w: VarSet) -> frozenset[VarSet]:
     """Members of ``p`` included in ``w``."""
     if not w:
         raise ValueError("w must be nonempty")
-    return frozenset(m for m in p.members if m <= w)
+    return frozenset(m for m in p if m <= w)
 
 
 def is_generative(p: EvidenceFamily, w: VarSet, method: str = "lemma") -> bool:
@@ -155,62 +145,55 @@ def is_generative(p: EvidenceFamily, w: VarSet, method: str = "lemma") -> bool:
         raise ValueError("w must be nonempty")
     if method == "lemma":
         return _generative_lemma(p, w)
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    # the partition and graph routes both need sigma(p, w) to cover w
+    sig = sigma(p, w)
+    if frozenset().union(*sig) != w:
+        return False
     if method == "partition":
-        return _generative_partition(p, w)
-    if method == "graph":
-        return _generative_graph(p, w)
-    raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        return _generative_partition(sig)
+    return _generative_graph(sig)
 
 
 def _generative_lemma(p: EvidenceFamily, w: VarSet) -> bool:
     if len(w) == 1:
-        return w in p.members
-    members = p.members
+        return w in p
     names = sorted(w)
     for size in range(1, len(names)):
         for combo in itertools.combinations(names, size):
             z = frozenset(combo)
             rest = w - z
-            if not any(is_evidence(m, z, rest) for m in members):
+            if not any(is_evidence(m, z, rest) for m in p):
                 return False
     return True
 
 
-def _generative_partition(p: EvidenceFamily, w: VarSet) -> bool:
-    sig = sorted(sigma(p, w), key=lambda m: (len(m), sorted(m)))
-    union: set[str] = set()
-    for m in sig:
-        union |= m
-    if union != w:
-        return False
-    n = len(sig)
+def _generative_partition(sig: frozenset[VarSet]) -> bool:
+    members = sorted(sig, key=lambda m: (len(m), sorted(m)))
+    n = len(members)
     for mask in range(1, (1 << n) - 1):
         left: set[str] = set()
         right: set[str] = set()
         for i in range(n):
-            (left if mask >> i & 1 else right).update(sig[i])
+            (left if mask >> i & 1 else right).update(members[i])
         if not left & right:
             return False
     return True
 
 
-def _generative_graph(p: EvidenceFamily, w: VarSet) -> bool:
-    sig = list(sigma(p, w))
-    union: set[str] = set()
-    for m in sig:
-        union |= m
-    if union != w:
-        return False
+def _generative_graph(sig: frozenset[VarSet]) -> bool:
+    members = list(sig)
     # BFS over the intersection graph
     seen = {0}
     frontier = [0]
     while frontier:
         i = frontier.pop()
-        for j in range(len(sig)):
-            if j not in seen and sig[i] & sig[j]:
+        for j in range(len(members)):
+            if j not in seen and members[i] & members[j]:
                 seen.add(j)
                 frontier.append(j)
-    return len(seen) == len(sig)
+    return len(seen) == len(members)
 
 
 def generative_family(p: EvidenceFamily) -> EvidenceFamily:
@@ -220,11 +203,11 @@ def generative_family(p: EvidenceFamily) -> EvidenceFamily:
     ``g | m`` for overlapping members ``m``, which is complete because a
     connected sub-collection can be ordered so that each member meets the
     union of those before it."""
-    out = set(p.members)
+    out = set(p)
     work = list(out)
     while work:
         g = work.pop()
-        grown = {g | m for m in p.members if g & m} - out
+        grown = {g | m for m in p if g & m} - out
         out |= grown
         work.extend(grown)
-    return EvidenceFamily(frozenset(out))
+    return EvidenceFamily(out)

@@ -287,10 +287,6 @@ class SoundnessReport:
     counterexamples: list[Counterexample] = field(default_factory=list)
     elapsed: float = 0.0
 
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
     def summary(self) -> str:
         lines = [f"trials={self.trials} schemas={self.schema_count} "
                  f"atoms_checked={self.atoms_checked} "

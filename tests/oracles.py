@@ -6,9 +6,10 @@ argument-set covers, generative families are recomputed by enumerating
 connected sub-collections of the family, a relation is checked to be a
 bisimulation pair by pair from the definition, the greatest bisimulation is
 recomputed by deleting pairs until every survivor transfers, and formulas are
-evaluated by plain recursion with no memo of box values.  Difference sets
-and the agreement conditions of the dependency clauses are read pair by pair
-from the model's assignment.  ``are_bisimilar`` reads one pair off the
+evaluated by plain recursion with no memo of box values, reading each
+world's cells off the public partitions.  Difference sets and the agreement
+conditions of the dependency clauses are read pair by pair from the model's
+assignment.  ``are_bisimilar`` reads one pair off the
 greatest bisimulation.
 """
 
@@ -30,7 +31,7 @@ def cover_oracle(p: EvidenceFamily, w: frozenset) -> bool:
     Restricting to X | Y == w is sound because evidence-hood of any subset of
     w depends only on the intersections with w."""
     names = sorted(w)
-    members = list(p.members)
+    members = list(p)
     for split in itertools.product((0, 1, 2), repeat=len(names)):
         x = frozenset(n for n, side in zip(names, split) if side in (0, 2))
         y = frozenset(n for n, side in zip(names, split) if side in (1, 2))
@@ -44,7 +45,7 @@ def cover_oracle(p: EvidenceFamily, w: frozenset) -> bool:
 def connected_union_oracle(p: EvidenceFamily) -> frozenset:
     """All unions of nonempty sub-collections whose intersection graph is
     connected; brute force over the power set of the family."""
-    members = sorted(p.members, key=lambda s: (len(s), sorted(s)))
+    members = sorted(p, key=lambda s: (len(s), sorted(s)))
     out = set()
     for size in range(1, len(members) + 1):
         for group in itertools.combinations(members, size):
@@ -72,7 +73,7 @@ def random_family(rng: random.Random, max_support: int = 6,
     for _ in range(rng.randint(1, max_members)):
         size = rng.randint(1, len(support))
         members.add(frozenset(rng.sample(support, size)))
-    return EvidenceFamily(frozenset(members))
+    return EvidenceFamily(members)
 
 
 def are_bisimilar(m, s, m2, s2) -> bool:
@@ -118,8 +119,9 @@ def _base_match(m, m2, s, s2) -> bool:
 
 
 def _transfers(m, m2, pairs, s, s2) -> bool:
-    for cls, cls2 in ((m.epistemic_class(s), m2.epistemic_class(s2)),
-                      (m.nomic_class(s), m2.nomic_class(s2))):
+    for partition, partition2 in ((m.epistemic_partition, m2.epistemic_partition),
+                                  (m.nomic_partition, m2.nomic_partition)):
+        cls, cls2 = _cell(partition, s), _cell(partition2, s2)
         for t in cls:                      # zig
             if not any((t, t2) in pairs for t2 in cls2):
                 return False
@@ -127,6 +129,15 @@ def _transfers(m, m2, pairs, s, s2) -> bool:
             if not any((t, t2) in pairs for t in cls):
                 return False
     return True
+
+
+def _cell(partition, w) -> frozenset:
+    """The cell of ``partition`` that holds ``w``, found by scanning the
+    public partition rather than the model's lookup tables."""
+    for cell in partition:
+        if w in cell:
+            return cell
+    raise EvalError(f"unknown world {w!r}")
 
 
 def _values(m, w) -> dict:
@@ -183,10 +194,10 @@ def recursive_eval_oracle(m, s, f, holds) -> bool:
                     and recursive_eval_oracle(m, s, r, holds))
         case Know(g):
             return all(recursive_eval_oracle(m, t, g, holds)
-                       for t in m.epistemic_class(s))
+                       for t in _cell(m.epistemic_partition, s))
         case All(g):
             return all(recursive_eval_oracle(m, t, g, holds)
-                       for t in m.nomic_class(s))
+                       for t in _cell(m.nomic_partition, s))
         case DepG(x, y):
             return holds(m, s, GLOBAL, x, y)
         case DepL(x, y):

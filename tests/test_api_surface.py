@@ -4,7 +4,9 @@ package outside its own definition, or in the benchmark harness, or is a
 console-script entry point.  A name only tests call belongs in the tests.
 Likewise every defaulted parameter of a public module-level function is
 passed by some call in the package or the benchmark harness; a knob only
-tests turn belongs in the tests.
+tests turn belongs in the tests.  And every public method or property of a
+public class is read as an attribute in the package outside its own
+definition, or in the benchmark harness.
 
 Uses are read from the syntax tree, so a word in a docstring or a comment,
 a name that only calls itself, or a parameter that a function only passes
@@ -109,3 +111,28 @@ def test_every_defaulted_parameter_is_passed():
                 if not any(passes(owner, call, fn, param) for owner, call in calls
                            if _callee(call) == fn.name)]
     assert not unpassed, "no caller outside tests passes:\n" + "\n".join(unpassed)
+
+
+def _reads(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The attribute names read under ``node``, outside the subtree ``skip``."""
+    out, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        if n is not skip:
+            if isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def test_every_public_method_is_read():
+    package = [_parse(p) for p in sorted((ROOT / "src/depmodal").rglob("*.py"))]
+    outside = set().union(*(_reads(_parse(p)) for p in (ROOT / "perfbench").rglob("*.py")))
+    unread = [f"{cls.name}.{fn.name}"
+              for tree in package for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+              for fn in cls.body
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not fn.name.startswith("_") and fn.name not in outside
+              and not any(fn.name in _reads(t, skip=fn) for t in package)]
+    assert not unread, "never read as an attribute outside tests:\n" + "\n".join(unread)

@@ -54,20 +54,20 @@ class TestPFamily:
     def test_judging_case_1(self, judging_case_1):
         local = p_family(judging_case_1, "s", LOCAL)
         total = p_family(judging_case_1, "s", GLOBAL)
-        assert local.members == {vs("bar_a", "bar_b"), vs("bar_a", "bar_c")}
-        assert total.members == {vs("bar_a", "bar_b"), vs("bar_a", "bar_c"),
+        assert local == {vs("bar_a", "bar_b"), vs("bar_a", "bar_c")}
+        assert total == {vs("bar_a", "bar_b"), vs("bar_a", "bar_c"),
                                  vs("bar_b", "bar_c")}
 
     def test_judging_case_2(self, judging_case_2):
         local = p_family(judging_case_2, "s", LOCAL)
-        assert local.members == {vs("bar_a"), vs("bar_a", "bar_b", "bar_c")}
+        assert local == {vs("bar_a"), vs("bar_a", "bar_b", "bar_c")}
 
     def test_local_subset_of_global(self, open_door, judging_case_1,
                                     judging_case_2, witness, experiment_2runs):
         for m in (open_door, judging_case_1, judging_case_2,
                   witness, experiment_2runs):
             for w in m.worlds:
-                assert p_family(m, w, LOCAL).members <= p_family(m, w, GLOBAL).members
+                assert p_family(m, w, LOCAL) <= p_family(m, w, GLOBAL)
 
     def test_singleton_class_gives_empty_families(self):
         from depmodal.model import load_model
@@ -163,16 +163,16 @@ class TestIsGenerative:
 
 class TestGenerativeFamily:
     def test_pinned(self):
-        assert generative_family(fam({"x"}, {"x", "y"})).members == \
+        assert generative_family(fam({"x"}, {"x", "y"})) == \
             {vs("x"), vs("x", "y")}
-        assert generative_family(fam({"x"}, {"y"})).members == {vs("x"), vs("y")}
-        assert generative_family(family(())).members == frozenset()
+        assert generative_family(fam({"x"}, {"y"})) == {vs("x"), vs("y")}
+        assert generative_family(family(())) == frozenset()
 
     def test_equals_connected_union_oracle(self):
         rng = random.Random(42)
         for _ in range(100):
             p = random_family(rng, max_support=5)
-            assert generative_family(p).members == connected_union_oracle(p)
+            assert generative_family(p) == connected_union_oracle(p)
 
     @pytest.mark.parametrize("k", range(3, 15))
     def test_ring_of_pairs(self, k):
@@ -183,14 +183,14 @@ class TestGenerativeFamily:
         g = generative_family(p)
         assert len(g) == k * (k - 2) + 1
         if k <= 8:
-            assert g.members == connected_union_oracle(p)
+            assert g == connected_union_oracle(p)
 
     def test_contains_family_and_closure(self):
         rng = random.Random(17)
         for _ in range(60):
             p = random_family(rng, max_support=5)
             g = generative_family(p)
-            assert p.members <= g.members
+            assert p <= g
             # recomputing from the generative family yields it again
             assert generative_family(g) == g
 
@@ -199,7 +199,7 @@ class TestGenerativeFamily:
             for w in m.worlds:
                 gl = generative_family(p_family(m, w, LOCAL))
                 gg = generative_family(p_family(m, w, GLOBAL))
-                assert gl.members <= gg.members
+                assert gl <= gg
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +266,21 @@ def test_family_support():
     assert p.support == vs("a", "b", "c")
     assert len(p) == 2
     assert vs("a") in p
+
+
+def test_family_contract(judging_case_1):
+    """A family is a plain frozenset of nonempty variable sets with a
+    ``support``: what the tracer and every family reader rely on."""
+    members = [vs("x"), vs("x", "y"), vs("z")]
+    m = judging_case_1
+    w = m.worlds[0]
+    local, total = p_family(m, w, LOCAL), p_family(m, w, GLOBAL)
+    for p in (family(members), local, total, generative_family(total)):
+        assert type(p) is EvidenceFamily
+        assert isinstance(p, frozenset)
+        assert p == frozenset(p) and hash(p) == hash(frozenset(p))
+        assert p.support == frozenset().union(*p)
+        assert not hasattr(p, "__dict__")
+    assert family(members) == frozenset(members)
+    with pytest.raises(ValueError):
+        family([frozenset()])

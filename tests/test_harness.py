@@ -165,7 +165,7 @@ def test_draw_instances_covers_every_schema():
 class TestSoundnessSuite:
     def test_small_run_clean(self):
         report = soundness_suite(GenParams(seed=0), trials=40)
-        assert report.ok
+        assert not report.counterexamples
         assert report.trials == 40
         assert report.atoms_checked > 0
         assert "counterexamples=0" in report.summary()
@@ -173,7 +173,7 @@ class TestSoundnessSuite:
     def test_one_world_trial_vacuous(self):
         report = soundness_suite(GenParams(seed=0, min_worlds=1, max_worlds=1),
                                  trials=1)
-        assert report.ok
+        assert not report.counterexamples
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
@@ -194,7 +194,7 @@ class TestSoundnessSuite:
         monkeypatch.setattr(semantics, "dep_holds_direct",
                             without_agreement_conjunct)
         report = soundness_suite(GenParams(seed=0), trials=40)
-        assert not report.ok
+        assert report.counterexamples
         route_hits = [ce for ce in report.counterexamples
                       if ce.schema == ROUTE_CHECK]
         assert route_hits

@@ -1,10 +1,14 @@
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depmodal.bisim import find_distinguishing_formula
 from depmodal.errors import EvalError, ModelError
 from depmodal.fixtures import fixture_text
+from depmodal.harness import GenParams, random_model
 from depmodal.model import KripkeModel, load_model
 
 from oracles import agree_outside, delta, differs_on
@@ -314,7 +318,7 @@ class TestAgreement:
 class TestClasses:
     def test_open_door_cells(self, open_door):
         assert open_door.nomic_class("s") == frozenset(open_door.worlds)
-        assert open_door.epistemic_class("s") == frozenset({"s"})
+        assert frozenset({"s"}) in open_door.epistemic_partition
 
     def test_singleton_model(self):
         doc = {
@@ -325,13 +329,13 @@ class TestClasses:
             "nomic_partition": [["only"]],
         }
         m = load_model(doc)
-        assert m.nomic_class("only") == m.epistemic_class("only") == frozenset({"only"})
+        assert m.nomic_class("only") == frozenset({"only"})
+        assert m.epistemic_partition == (frozenset({"only"}),)
 
     def test_reflexivity_and_partitioning(self, experiment_2runs):
         m = experiment_2runs
         for w in m.worlds:
             assert w in m.nomic_class(w)
-            assert w in m.epistemic_class(w)
         for partition in (m.nomic_partition, m.epistemic_partition):
             union = set()
             for cell in partition:
@@ -365,22 +369,46 @@ def test_constructor_direct_use():
     assert m.assignment["a"]["x"] == 5
 
 
+class _Level(int):
+    """An int subclass other than bool: a valid value that only the
+    per-world check accepts."""
+
+
 def test_constructor_accepts_what_only_the_per_world_check_accepts():
     # an int subclass other than bool is a valid variable value; the
     # whole-model pass tests exact types, so this model takes the per-world
     # path, which must build the same tables
-    class Level(int):
-        pass
-
     m = KripkeModel(
         worlds=["a", "b"],
         propositions=["p"],
         variables=[("x", False), ("h", True)],
         valuation={"a": {"p": 1}, "b": {"p": 0}},
-        assignment={"a": {"x": Level(2), "h": 0}, "b": {"h": 1, "x": 0}},
+        assignment={"a": {"x": _Level(2), "h": 0}, "b": {"h": 1, "x": 0}},
         epistemic_partition=[["a", "b"]],
         nomic_partition=[["b", "a"]],
     )
     assert m._row == {"a": (2, 0), "b": (0, 1)}
     assert m.assignment == {"a": {"x": 2, "h": 0}, "b": {"h": 1, "x": 0}}
     assert m._local_rep == {"a": "a", "b": "b"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10**6), named=st.integers(1, 3),
+       hidden=st.integers(0, 2))
+def test_per_world_value_check_builds_the_same_tables(data, seed, named, hidden):
+    # the whole-model pass tests exact value types, so wrapping one world's
+    # values in an int subclass sends the load through the per-world loop
+    doc = random_model(GenParams(min_worlds=2, num_named=named, num_hidden=hidden,
+                                 max_value=2, seed=seed)).to_dict()
+    entries = doc["worlds"]
+    src, dst, odd = (data.draw(st.integers(0, len(entries) - 1)) for _ in range(3))
+    entries[dst]["vals"] = dict(entries[src]["vals"])      # a repeated row
+    with mock.patch.object(KripkeModel, "_check_each_world", autospec=True,
+                           side_effect=KripkeModel._check_each_world) as loop:
+        plain = load_model(doc)
+        assert loop.call_count == 0
+        entries[odd]["vals"] = {x: _Level(v) for x, v in entries[odd]["vals"].items()}
+        wrapped = load_model(doc)
+        assert loop.call_count == 1
+    for table in ("valuation", "assignment", "_row", "_local_rep"):
+        assert getattr(wrapped, table) == getattr(plain, table), table
