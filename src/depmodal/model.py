@@ -38,13 +38,16 @@ because computations nest.  A global answer is anchored at the world's
 nomic class.  A local answer reads only the world's nomic class and its row
 of variable values, so it is anchored at the world's representative: the
 first world in model order with the same nomic class and the same row.
-Worlds with equal rows in one class share every local answer.  Dependency
-atoms are cached by their anchor; difference families in one table per
-nomic class, which holds the global family and the local family of each
-distinct row, keyed by their anchors and filled as they are asked for.
-Generative families are not cached
-here: they depend only on the difference family, so callers close each
-distinct family themselves.
+Worlds with equal rows in one class share every local answer.  The cache
+holds four kinds of entry.  Dependency atoms are cached by their anchor, one
+kind of entry per route (``"direct"`` and ``"evidence"``).  Difference
+families sit in one table per nomic class (``"families"``), which holds the
+global family and the local family of each distinct row, keyed by their
+anchors and filled as they are asked for.  The direct route's row getters
+for a pair of argument sets (``"projections"``) depend only on the model's
+variables, so one entry serves every anchor and both kinds.  Generative
+families are not cached here: they depend only on the difference family, so
+callers close each distinct family themselves.
 """
 
 from __future__ import annotations

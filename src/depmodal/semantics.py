@@ -42,11 +42,7 @@ def _dep_direct_search(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) 
     if not (x and y) or len(cls) < 2:
         # an empty side never differs, and a lone world has no partner
         return False
-    pos = m._var_pos
-    on_x = operator.itemgetter(*(pos[v] for v in x))
-    on_y = operator.itemgetter(*(pos[v] for v in y))
-    outside = [i for v, i in pos.items() if v not in x and v not in y]
-    off_xy = operator.itemgetter(*outside) if outside else (lambda row: ())
+    on_x, on_y, off_xy = m._memo(("projections", x, y), _projections, m, x, y)
     rows = [m._row[t] for t in cls]
     if kind == GLOBAL:
         # the conditions are symmetric in (u, v) and fail on (u, u)
@@ -59,6 +55,17 @@ def _dep_direct_search(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) 
         if on_x(u) != on_x(v) and on_y(u) != on_y(v) and off_xy(u) == off_xy(v):
             return True
     return False
+
+
+def _projections(m: KripkeModel, x: VarSet, y: VarSet) -> tuple:
+    """Getters of a row's values on ``x``, on ``y`` and outside ``x | y``;
+    they depend only on the model's variables, so one entry serves every
+    anchor and both kinds."""
+    pos = m._var_pos
+    outside = [i for v, i in pos.items() if v not in x and v not in y]
+    return (operator.itemgetter(*(pos[v] for v in x)),
+            operator.itemgetter(*(pos[v] for v in y)),
+            operator.itemgetter(*outside) if outside else (lambda row: ()))
 
 
 def check_names(m: KripkeModel, f: Formula) -> None:

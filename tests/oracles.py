@@ -10,18 +10,27 @@ evaluated by plain recursion with no memo of box values, reading each
 world's cells off the public partitions.  Difference sets and the agreement
 conditions of the dependency clauses are read pair by pair from the model's
 assignment.  ``are_bisimilar`` reads one pair off the
-greatest bisimulation.
+greatest bisimulation.  ``soundness_oracle`` is the soundness suite's
+per-world loop: it asks both dependency routes at every world through their
+memoized entry points and evaluates each instance with ``extension``.
 """
 
 import itertools
 import random
+import time
+from dataclasses import replace
 
+from depmodal import dependency, semantics
 from depmodal.bisim import greatest_bisimulation
 from depmodal.dependency import (EvidenceFamily, generative_family, is_evidence,
                                  p_family)
 from depmodal.errors import EvalError
+from depmodal.harness import (ROUTE_CHECK, Counterexample, SoundnessReport,
+                              draw_instances, instantiate, random_model,
+                              schema_names)
 from depmodal.syntax import (GLOBAL, LOCAL, All, And, DepG, DepL, Know, Not,
-                             Prop, Top)
+                             Prop, Top, VarSet, collect_dep_atoms, dep_atom,
+                             render_formula)
 
 
 def cover_oracle(p: EvidenceFamily, w: frozenset) -> bool:
@@ -203,3 +212,40 @@ def recursive_eval_oracle(m, s, f, holds) -> bool:
         case DepL(x, y):
             return holds(m, s, LOCAL, x, y)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def soundness_oracle(params, trials: int) -> SoundnessReport:
+    """``harness.soundness_suite`` as a loop over worlds: each instance is
+    checked with ``semantics.extension``, and both routes are asked for every
+    atom at every world."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    t0 = time.perf_counter()
+    report = SoundnessReport(trials=trials, schema_count=len(schema_names()),
+                             atoms_checked=0)
+    for i in range(trials):
+        seed = params.seed + i
+        m = random_model(replace(params, seed=seed))
+        rng = random.Random(seed ^ 0x9E3779B9)
+        atoms: set[tuple[str, VarSet, VarSet]] = set()
+        for inst in draw_instances(rng, m):
+            f = instantiate(inst)
+            atoms |= collect_dep_atoms(f)
+            ext = semantics.extension(m, f)
+            bad = next((s for s in m.worlds if s not in ext), None)
+            if bad is not None:
+                report.counterexamples.append(
+                    Counterexample(seed, inst.label(), render_formula(f), bad))
+        for kind, x, y in sorted(atoms, key=lambda a: (a[0], sorted(a[1]), sorted(a[2]))):
+            for s in m.worlds:
+                report.atoms_checked += 1
+                direct = semantics.dep_holds_direct(m, s, kind, x, y)
+                routed = dependency.dep_holds_by_evidence(m, s, kind, x, y)
+                if direct != routed:
+                    atom_text = render_formula(dep_atom(kind, x, y))
+                    report.counterexamples.append(
+                        Counterexample(seed, ROUTE_CHECK,
+                                       f"{atom_text} direct={direct} evidence={routed}",
+                                       s))
+    report.elapsed = time.perf_counter() - t0
+    return report

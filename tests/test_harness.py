@@ -1,18 +1,22 @@
 import json
 import random
+from collections import Counter
 from dataclasses import asdict, replace
 
 import pytest
 
-from depmodal import semantics
+from depmodal import dependency, harness, semantics
 from depmodal.harness import (GenParams, SchemaInstance, draw_instances,
                               instantiate, random_formula, random_model,
-                              schema_names, soundness_suite, ROUTE_CHECK)
-from depmodal.syntax import (BOT, GLOBAL, LOCAL, All, And, DepG, DepL, Know,
-                             Not, collect_dep_atoms, iff, implies, disj,
-                             mutual_dependence, parse_formula)
+                              schema_names, soundness_suite, Counterexample,
+                              ROUTE_CHECK)
+from depmodal.model import load_model
+from depmodal.syntax import (BOT, GLOBAL, LOCAL, All, And, DepG, DepL,
+                             Know, Not, collect_dep_atoms, dep_atom, iff,
+                             implies, disj, mutual_dependence, parse_formula,
+                             render_formula)
 
-from oracles import agree_outside, delta, differs_on
+from oracles import agree_outside, delta, differs_on, soundness_oracle
 
 
 def vs(*names):
@@ -162,6 +166,29 @@ def test_draw_instances_covers_every_schema():
 # Soundness suite
 # ---------------------------------------------------------------------------
 
+def _pairs(m, s, kind):
+    cls = m.nomic_class(s)
+    if kind == GLOBAL:
+        return ((u, v) for u in cls for v in cls)
+    return ((t, s) for t in cls)
+
+
+def without_agreement_conjunct(m, s, kind, x, y):
+    """The direct route without its agreement-outside conjunct."""
+    m._check_named(x)
+    m._check_named(y)
+    return any(differs_on(m, u, v, x) and differs_on(m, u, v, y)
+               for u, v in _pairs(m, s, kind))
+
+
+def without_y_difference(m, s, kind, x, y):
+    """The direct route without its difference-on-y conjunct."""
+    m._check_named(x)
+    m._check_named(y)
+    return any(differs_on(m, u, v, x) and agree_outside(m, u, v, x | y)
+               for u, v in _pairs(m, s, kind))
+
+
 class TestSoundnessSuite:
     def test_small_run_clean(self):
         report = soundness_suite(GenParams(seed=0), trials=40)
@@ -180,17 +207,6 @@ class TestSoundnessSuite:
             soundness_suite(GenParams(), trials=0)
 
     def test_mutated_evaluator_detected(self, monkeypatch):
-        def without_agreement_conjunct(m, s, kind, x, y):
-            m._check_named(x)
-            m._check_named(y)
-            cls = m.nomic_class(s)
-            if kind == GLOBAL:
-                pairs = ((u, v) for u in cls for v in cls)
-            else:
-                pairs = ((t, s) for t in cls)
-            return any(differs_on(m, u, v, x) and differs_on(m, u, v, y)
-                       for u, v in pairs)
-
         monkeypatch.setattr(semantics, "dep_holds_direct",
                             without_agreement_conjunct)
         report = soundness_suite(GenParams(seed=0), trials=40)
@@ -202,17 +218,6 @@ class TestSoundnessSuite:
         assert first.seed >= 0 and first.world
 
     def test_schema_counterexample_is_first_false_world(self, monkeypatch):
-        def without_y_difference(m, s, kind, x, y):
-            m._check_named(x)
-            m._check_named(y)
-            cls = m.nomic_class(s)
-            if kind == GLOBAL:
-                pairs = ((u, v) for u in cls for v in cls)
-            else:
-                pairs = ((t, s) for t in cls)
-            return any(differs_on(m, u, v, x) and agree_outside(m, u, v, x | y)
-                       for u, v in pairs)
-
         monkeypatch.setattr(semantics, "dep_holds_direct", without_y_difference)
         params = GenParams(seed=0)
         report = soundness_suite(params, trials=40)
@@ -233,6 +238,125 @@ class TestSoundnessSuite:
         d = asdict(report)
         assert d["trials"] == 5
         assert d["counterexamples"] == []
+
+
+# ---------------------------------------------------------------------------
+# Per-anchor asking against the per-world loop
+# ---------------------------------------------------------------------------
+
+def _masked(report):
+    d = asdict(report)
+    d["elapsed"] = None
+    return d
+
+
+def _trial_atoms(m, seed):
+    """The dependency atoms of a trial's instances, as the suite draws them."""
+    rng = random.Random(seed ^ 0x9E3779B9)
+    return set().union(*(collect_dep_atoms(instantiate(inst))
+                         for inst in draw_instances(rng, m)))
+
+
+def test_suite_matches_per_world_oracle_on_200_seeds():
+    params = GenParams(seed=0)
+    assert _masked(soundness_suite(params, 200)) == _masked(soundness_oracle(params, 200))
+
+
+SHAPES = [(named, hidden, worlds) for named in range(5) for hidden in range(3)
+          for worlds in ((1, 1), (8, 8), (1, 8))]
+
+
+@pytest.mark.parametrize("named,hidden,worlds", SHAPES)
+def test_suite_matches_per_world_oracle_across_shapes(named, hidden, worlds):
+    params = GenParams(num_named=named, num_hidden=hidden, min_worlds=worlds[0],
+                       max_worlds=worlds[1], seed=1000 + 10 * SHAPES.index(
+                           (named, hidden, worlds)))
+    assert _masked(soundness_suite(params, 5)) == _masked(soundness_oracle(params, 5))
+
+
+@pytest.mark.parametrize("mutant", [without_agreement_conjunct, without_y_difference])
+@pytest.mark.parametrize("shape", [{}, {"num_hidden": 0, "min_worlds": 8},
+                                   {"num_named": 2, "num_hidden": 2}])
+def test_suite_matches_per_world_oracle_under_mutated_direct_route(
+        monkeypatch, mutant, shape):
+    monkeypatch.setattr(semantics, "dep_holds_direct", mutant)
+    params = GenParams(seed=0, **shape)
+    report = soundness_suite(params, 40)
+    assert report.counterexamples
+    assert _masked(report) == _masked(soundness_oracle(params, 40))
+
+
+def test_suite_asks_each_route_once_per_atom_and_anchor(monkeypatch):
+    models = []
+    real_model = harness.random_model
+
+    def recording_model(params):
+        m = real_model(params)
+        models.append((m, params.seed))
+        return m
+
+    asked = Counter()
+    real_direct = semantics.dep_holds_direct
+
+    def counting_direct(m, s, kind, x, y):
+        asked[m, kind, x, y, m._anchor(s, kind)] += 1
+        return real_direct(m, s, kind, x, y)
+
+    by_evidence = []
+    monkeypatch.setattr(harness, "random_model", recording_model)
+    monkeypatch.setattr(semantics, "dep_holds_direct", counting_direct)
+    monkeypatch.setattr(dependency, "dep_holds_by_evidence",
+                        lambda *args: by_evidence.append(args))
+    report = soundness_suite(GenParams(seed=0), trials=40)
+    assert not report.counterexamples
+    assert by_evidence == []
+    assert set(asked.values()) == {1}
+    want = {(m, kind, x, y, anchor)
+            for m, seed in models
+            for kind, x, y in _trial_atoms(m, seed)
+            for anchor in {m._anchor(s, kind) for s in m.worlds}}
+    assert set(asked) == want
+    # some anchor spans several worlds, so the per-world loop asks more
+    assert report.atoms_checked > len(want)
+
+
+def test_route_disagreement_reported_at_each_world_of_its_anchor(monkeypatch):
+    # a1, a2 and a3 share a nomic class and a row, so they share one local
+    # anchor; b is in their class with another hidden value, c in a class
+    # of its own
+    rows = {"a1": (0, 0), "b": (1, 1), "a2": (0, 0), "c": (1, 0), "a3": (0, 0)}
+    m = load_model({
+        "propositions": ["p"],
+        "variables": [{"name": "x1", "hidden": False},
+                      {"name": "x2", "hidden": False},
+                      {"name": "h", "hidden": True}],
+        "worlds": [{"id": w, "props": {"p": 0}, "vals": {"x1": x, "x2": x, "h": h}}
+                   for w, (x, h) in rows.items()],
+        "epistemic_partition": [list(rows)],
+        "nomic_partition": [["a1", "b", "a2", "a3"], ["c"]]})
+    assert {m._anchor(w, LOCAL) for w in ("a1", "a2", "a3")} == {"a1"}
+    named = m.named_variables
+    every_set = dependency.family(
+        frozenset(c) for c in (named[:1], named[1:], named))
+    real_family = dependency.p_family
+
+    def wrong_at_a1(m, s, kind):
+        # every local atom with two nonempty sides holds at a1's anchor
+        if kind == LOCAL and m._anchor(s, kind) == "a1":
+            return every_set
+        return real_family(m, s, kind)
+
+    monkeypatch.setattr(harness, "random_model", lambda params: m)
+    monkeypatch.setattr(dependency, "p_family", wrong_at_a1)
+    seed = 3
+    report = soundness_suite(GenParams(seed=seed), trials=1)
+    atoms = sorted((a for a in _trial_atoms(m, seed) if a[0] == LOCAL and a[1] and a[2]),
+                   key=lambda a: (a[0], sorted(a[1]), sorted(a[2])))
+    assert atoms
+    want = [Counterexample(seed, ROUTE_CHECK,
+                           f"{render_formula(dep_atom(*a))} direct=False evidence=True", w)
+            for a in atoms for w in ("a1", "a2", "a3")]
+    assert report.counterexamples == want
 
 
 def test_collect_dep_atoms():

@@ -10,6 +10,7 @@ imports the tracer, never changes it."""
 
 import contextlib
 import io
+import random
 import re
 import sys
 from pathlib import Path
@@ -18,6 +19,8 @@ import pytest
 
 from depmodal import cli
 from depmodal.fixtures import fixture_path
+from depmodal.harness import GenParams, draw_instances, instantiate, random_model
+from depmodal.syntax import collect_dep_atoms
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
@@ -50,9 +53,20 @@ def tracer():
     t.restore()
 
 
+def _atom_anchors(seed: int) -> int:
+    """How many (atom, anchor) pairs the suite's trial ``seed`` asks about."""
+    m = random_model(GenParams(seed=seed))
+    rng = random.Random(seed ^ 0x9E3779B9)
+    atoms = set().union(*(collect_dep_atoms(instantiate(inst))
+                          for inst in draw_instances(rng, m)))
+    return sum(len({m._anchor(s, kind) for s in m.worlds}) for kind, _, _ in atoms)
+
+
 @pytest.mark.parametrize("name", list(OPS))
 def test_traced_op_matches_untraced(tracer, name):
     plain = _run(OPS[name])
+    # the tracer's counts add up over the module's ops
+    before = {q: stats[0] for q, stats in tracer.stats.items()}
     tracer.install()
     try:
         traced = _run(OPS[name])
@@ -63,6 +77,12 @@ def test_traced_op_matches_untraced(tracer, name):
     assert plain[0] == 0
     if name == "bisim":
         assert plain[1].startswith("not bisimilar")
+    if name == "axioms":
+        # the suite asks the direct route once per atom and anchor, and
+        # reads the evidence route off the difference families
+        calls = {q: stats[0] - before.get(q, 0) for q, stats in tracer.stats.items()}
+        assert calls["dependency.dep_holds_by_evidence"] == 0
+        assert calls["semantics.dep_holds_direct"] == _atom_anchors(0)
 
 
 def test_metrics_and_probes(tracer):

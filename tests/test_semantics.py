@@ -188,11 +188,50 @@ def test_undeclared_name_rejected_after_caching(holds):
     for w in m.worlds:
         for kind in (GLOBAL, LOCAL):
             holds(m, w, kind, vs("y"), vs("y"))
+    if holds is dep_holds_direct:
+        # the direct search's row getters are cached too
+        assert ("projections", vs("y"), vs("y")) in m._memo_table
     for w in m.worlds:
         for kind in (GLOBAL, LOCAL):
             for x, y in ((vs("ghost"), vs("y")), (vs("y"), vs("y", "ghost"))):
                 with pytest.raises(EvalError, match="undeclared variable 'ghost'"):
                     holds(m, w, kind, x, y)
+
+
+def test_projections_built_once_per_argument_pair(monkeypatch):
+    # one nomic class of four distinct rows and a lone world: several
+    # anchors of each kind ask for the same (x, y)
+    m = load_model({
+        "propositions": [],
+        "variables": [{"name": "x", "hidden": False},
+                      {"name": "y", "hidden": False},
+                      {"name": "z", "hidden": False},
+                      {"name": "h", "hidden": True}],
+        "worlds": [{"id": f"w{i}", "props": {},
+                    "vals": {"x": i % 2, "y": i // 2 % 2, "z": 0, "h": 0}}
+                   for i in range(5)],
+        "epistemic_partition": [["w0", "w1", "w2", "w3", "w4"]],
+        "nomic_partition": [["w0", "w1", "w2", "w3"], ["w4"]]})
+    built = []
+    real = semantics._projections
+
+    def counting(m, x, y):
+        built.append((x, y))
+        return real(m, x, y)
+
+    monkeypatch.setattr(semantics, "_projections", counting)
+    pairs = [(vs("x"), vs("y")), (vs("y"), vs("x")), (vs("x", "y"), vs("y", "z"))]
+    for x, y in pairs:
+        for kind in (GLOBAL, LOCAL):
+            for w in m.worlds:
+                assert dep_holds_direct(m, w, kind, x, y) == \
+                    any(differs_on(m, u, v, x) and differs_on(m, u, v, y)
+                        and agree_outside(m, u, v, x | y)
+                        for u in m.nomic_class(w)
+                        for v in (m.nomic_class(w) if kind == GLOBAL else [w]))
+    assert built == pairs
+    keys = [key for key in m._memo_table if key[0] == "projections"]
+    assert keys == [("projections", x, y) for x, y in pairs]
 
 
 def test_equal_rows_share_one_local_entry():
