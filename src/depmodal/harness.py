@@ -69,18 +69,17 @@ def random_model(params: GenParams) -> KripkeModel:
     props = [f"p{i + 1}" for i in range(params.num_props)]
     named = [f"x{i + 1}" for i in range(params.num_named)]
     hidden = [f"h{i + 1}" for i in range(params.num_hidden)]
-    valuation = {w: {p: rng.randint(0, 1) for p in props} for w in worlds}
-    assignment = {w: {x: rng.randrange(params.max_value) for x in named + hidden}
-                  for w in worlds}
-    return KripkeModel(
-        worlds=worlds,
-        propositions=props,
-        variables=[(x, False) for x in named] + [(h, True) for h in hidden],
-        valuation=valuation,
-        assignment=assignment,
-        epistemic_partition=_random_partition(rng, worlds),
-        nomic_partition=_random_partition(rng, worlds),
-    )
+    pvs = [{p: rng.randint(0, 1) for p in props} for _ in worlds]
+    avs = [{x: rng.randrange(params.max_value) for x in named + hidden} for _ in worlds]
+    return KripkeModel({
+        "propositions": props,
+        "variables": ([{"name": x, "hidden": False} for x in named]
+                      + [{"name": h, "hidden": True} for h in hidden]),
+        "worlds": [{"id": w, "props": pv, "vals": av}
+                   for w, pv, av in zip(worlds, pvs, avs)],
+        "epistemic_partition": _random_partition(rng, worlds),
+        "nomic_partition": _random_partition(rng, worlds),
+    })
 
 
 #: largest variable set the generators draw; it keeps the cover schema's

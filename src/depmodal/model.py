@@ -23,15 +23,19 @@ Model documents are JSON objects:
 value must equal the proposition's truth value.  Models are immutable after
 construction; read-only sharing across threads is safe.
 
-Validation of the valuation and the assignment, and of each partition,
-starts with a pass over the whole model (value types, the least value, key
-counts; cell types, cell sizes and one union), which also builds each
-world's row of variable values.  Only when a pass fails does the
-world-by-world loop run, to report the first offending entry in model
-order.  These rules keep a pass because it beats their loops: the values
-are most of a document, and a partition's sizes and union replace a lookup
-per member.  The world ids and the world entries are checked by their
-loops alone, since a pass there measured no faster than the loop.
+``KripkeModel(doc)`` is the one constructor: it checks the document once
+and raises ``ModelError`` at the first fault (``load_model`` decodes JSON
+text first).  It checks the shape first (fields, variable and world
+entries, cell types, ``mirrors``, ``comment``), then the world ids, names,
+values, partitions and mirrors, and it copies what it keeps.  The values,
+the cell types and each partition start with a pass over the whole model
+(value types, least value and key counts, which also build each world's
+row of values; member types; cell sizes and one union).  Only when a pass
+fails does the entry-by-entry loop run, to name the first offending entry
+in document order.  These rules keep a pass because it beats their loops:
+values are most of a document, and a partition's sizes and union replace a
+lookup per member.  World ids and world entries are checked by their loops
+alone, since a pass there measured no faster than the loop.
 
 Derived answers are cached per model, and computed outside the cache lock
 because computations nest.  A global answer is anchored at the world's
@@ -56,7 +60,6 @@ import json
 import threading
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Mapping
 
 from .errors import EvalError, ModelError
 from .syntax import GLOBAL, IDENT_RE, KINDS, LOCAL, RESERVED, VarSet
@@ -96,36 +99,76 @@ def _cell_table(partition: tuple[frozenset[str], ...]) -> dict[str, frozenset[st
     return table
 
 
-class KripkeModel:
-    """Validated finite model; all structural invariants hold after __init__."""
+_DOC_FIELDS = {"propositions", "variables", "worlds", "epistemic_partition",
+               "nomic_partition", "mirrors", "comment"}
+_WORLD_FIELDS = {"id", "props", "vals"}
 
-    def __init__(self,
-                 worlds: Iterable[str],
-                 propositions: Iterable[str],
-                 variables: Iterable[tuple[str, bool]],
-                 valuation: Mapping[str, Mapping[str, int]],
-                 assignment: Mapping[str, Mapping[str, int]],
-                 epistemic_partition: Iterable[Iterable[str]],
-                 nomic_partition: Iterable[Iterable[str]],
-                 mirrors: Mapping[str, str] | None = None,
-                 comment: str = ""):
-        self.worlds: tuple[str, ...] = tuple(worlds)
+
+def _check_shape(doc: object) -> None:
+    """Raise for the first field, entry or cell of ``doc`` of the wrong JSON
+    type or with the wrong keys, in document order."""
+    if not isinstance(doc, dict):
+        raise ModelError("model document must be a JSON object")
+    unknown = set(doc) - _DOC_FIELDS
+    if unknown:
+        raise ModelError(f"unknown field {sorted(unknown)[0]!r} in model document")
+    for field in ("propositions", "variables", "worlds",
+                  "epistemic_partition", "nomic_partition"):
+        if field not in doc:
+            raise ModelError(f"model document missing field {field!r}")
+        if not isinstance(doc[field], list):
+            raise ModelError(f"field {field!r} must be a list")
+    for entry in doc["variables"]:
+        if not isinstance(entry, dict) or set(entry) != {"name", "hidden"}:
+            raise ModelError(f"variable entry {entry!r} must be "
+                             f'{{"name": ..., "hidden": ...}}')
+    for entry in doc["worlds"]:
+        if not isinstance(entry, dict) or set(entry) != _WORLD_FIELDS:
+            raise ModelError(f'world entry must be {{"id", "props", "vals"}}, '
+                             f"got {entry!r}")
+        if not (isinstance(entry["id"], str) and isinstance(entry["props"], dict)
+                and isinstance(entry["vals"], dict)):
+            raise ModelError(f'world entry {entry!r}: "id" must be a string, '
+                             f'"props" and "vals" objects')
+    for field in ("epistemic_partition", "nomic_partition"):
+        cells = doc[field]
+        if not (set(map(type, cells)) <= {list}
+                and set(map(type, chain.from_iterable(cells))) <= {str}):
+            for cell in cells:
+                if not (isinstance(cell, list) and all(isinstance(w, str) for w in cell)):
+                    raise ModelError(f"field {field!r}: cell {cell!r} must be a list "
+                                     f"of world identifiers")
+    mirrors = doc.get("mirrors", {})
+    if not (isinstance(mirrors, dict)
+            and all(isinstance(x, str) for x in mirrors.values())):
+        raise ModelError("field 'mirrors' must be an object of variable names")
+    if not isinstance(doc.get("comment", ""), str):
+        raise ModelError("field 'comment' must be a string")
+
+
+class KripkeModel:
+    """Validated finite model, built from its document; all structural
+    invariants hold after __init__."""
+
+    def __init__(self, doc: dict):
+        _check_shape(doc)
+        entries = doc["worlds"]
+        self.worlds: tuple[str, ...] = tuple(e["id"] for e in entries)
         if not self.worlds:
             raise ModelError("model must have at least one world")
         if len(set(self.worlds)) != len(self.worlds):
             raise ModelError("duplicate world identifiers")
-        for w in self.worlds:
-            if not isinstance(w, str) or not w:
-                raise ModelError(f"world identifier {w!r} must be a non-empty string")
         self._widx = {w: i for i, w in enumerate(self.worlds)}
+        if "" in self._widx:
+            raise ModelError("world identifier '' must be a non-empty string")
 
-        self.propositions: tuple[str, ...] = tuple(propositions)
+        self.propositions: tuple[str, ...] = tuple(doc["propositions"])
         for p in self.propositions:
             _check_name(p, "proposition")
         if len(set(self.propositions)) != len(self.propositions):
             raise ModelError("duplicate proposition names")
 
-        var_list = list(variables)
+        var_list = [(e["name"], e["hidden"]) for e in doc["variables"]]
         for n, h in var_list:
             _check_name(n, "variable")
             if not isinstance(h, bool):
@@ -136,8 +179,8 @@ class KripkeModel:
         self.named_variables: tuple[str, ...] = tuple(n for n, h in var_list if not h)
         self.hidden_variables: tuple[str, ...] = tuple(n for n, h in var_list if h)
 
-        self.mirrors: dict[str, str] = dict(mirrors or {})
-        self.comment = comment
+        self.mirrors: dict[str, str] = dict(doc.get("mirrors", {}))
+        self.comment: str = doc.get("comment", "")
 
         prop_set = set(self.propositions)
         named_set = set(self.named_variables)
@@ -149,12 +192,13 @@ class KripkeModel:
 
         # totality of the valuation and the assignment
         all_vars = self.named_variables + self.hidden_variables
-        pvs, avs, rows = self._value_tables(valuation, assignment, all_vars)
+        pvs, avs, rows = self._value_tables(entries, all_vars)
         self.valuation: dict[str, dict[str, int]] = dict(zip(self.worlds, pvs))
         self.assignment: dict[str, dict[str, int]] = dict(zip(self.worlds, avs))
 
-        self.epistemic_partition = self._check_partition(epistemic_partition, "epistemic")
-        self.nomic_partition = self._check_partition(nomic_partition, "nomic")
+        self.epistemic_partition = self._check_partition(
+            doc["epistemic_partition"], "epistemic")
+        self.nomic_partition = self._check_partition(doc["nomic_partition"], "nomic")
 
         for p, x in self.mirrors.items():
             if p not in prop_set:
@@ -186,17 +230,16 @@ class KripkeModel:
         self._cache_lock = threading.Lock()
         self._memo_table: dict = {}
 
-    def _value_tables(self, valuation: Mapping[str, Mapping[str, int]],
-                      assignment: Mapping[str, Mapping[str, int]],
+    def _value_tables(self, entries: list[dict],
                       all_vars: tuple[str, ...]) -> tuple[list, list, list]:
         """Each world's proposition values and variable values, as fresh
         dicts in model order, and its row of variable values in ``all_vars``
         order.  The checks run as passes over the whole model; only when one
         fails does the per-world loop run, to report the first offending
         entry."""
+        pvs = [dict(e["props"]) for e in entries]
+        avs = [dict(e["vals"]) for e in entries]
         try:
-            pvs = list(map(dict, map(valuation.__getitem__, self.worlds)))
-            avs = list(map(dict, map(assignment.__getitem__, self.worlds)))
             truth = list(chain.from_iterable(_rows(pvs, self.propositions)))
             rows = _rows(avs, all_vars)
             values = list(chain.from_iterable(rows))
@@ -207,28 +250,20 @@ class KripkeModel:
                      and set(map(type, chain(truth, values))) <= {int}
                      and set(truth) <= {0, 1}
                      and min(values, default=0) >= 0)
-        except (LookupError, TypeError, ValueError):
-            # a missing world or name, or a value dict() cannot take: the
-            # per-world loop reports it
+        except KeyError:
+            # a missing name: the per-world loop reports it
             valid = False
         if not valid:
-            pvs, avs = self._check_each_world(valuation, assignment, all_vars)
+            self._check_each_world(pvs, avs, all_vars)
             rows = _rows(avs, all_vars)
         return pvs, avs, rows
 
-    def _check_each_world(self, valuation: Mapping[str, Mapping[str, int]],
-                          assignment: Mapping[str, Mapping[str, int]],
-                          all_vars: tuple[str, ...]) -> tuple[list, list]:
-        """``_value_tables``'s dicts, checked world by world; raises for the
-        first offending entry in model order."""
+    def _check_each_world(self, pvs: list[dict], avs: list[dict],
+                          all_vars: tuple[str, ...]) -> None:
+        """``_value_tables``'s checks, world by world; raises for the first
+        offending entry in model order."""
         prop_set, var_set = set(self.propositions), set(all_vars)
-        pvs, avs = [], []
-        for w in self.worlds:
-            if w not in valuation:
-                raise ModelError(f"world {w!r}: no proposition valuation given")
-            if w not in assignment:
-                raise ModelError(f"world {w!r}: no variable assignment given")
-            pv = dict(valuation[w])
+        for w, pv, av in zip(self.worlds, pvs, avs):
             for p in pv:
                 if p not in prop_set:
                     raise ModelError(f"world {w!r}: undeclared proposition {p!r}")
@@ -238,7 +273,6 @@ class KripkeModel:
                 if type(pv[p]) is not int or pv[p] not in (0, 1):
                     raise ModelError(
                         f"world {w!r}: proposition {p!r} must be 0 or 1, got {pv[p]!r}")
-            av = dict(assignment[w])
             for x in av:
                 if x not in var_set:
                     raise ModelError(f"world {w!r}: undeclared variable {x!r}")
@@ -246,39 +280,27 @@ class KripkeModel:
                 if x not in av:
                     raise ModelError(f"world {w!r}: missing value for variable {x!r}")
                 _check_value(av[x], w, x)
-            pvs.append(pv)
-            avs.append(av)
-        return pvs, avs
 
-    def _check_partition(self, cells: Iterable[Iterable[str]],
+    def _check_partition(self, cells: list[list[str]],
                          label: str) -> tuple[frozenset[str], ...]:
-        cells = list(cells)
-        try:
-            members = list(map(tuple, cells))
-            # n members that cover the n worlds repeat none and name no other
-            if (() not in members and sum(map(len, members)) == len(self.worlds)
-                    and set().union(*members) == self._widx.keys()):
-                return tuple(map(frozenset, members))
-        except TypeError:
-            pass
-        seen: set[str] = set()
-        out = []
-        for cell in cells:
-            members = tuple(cell)
-            if not members:
-                raise ModelError(f"{label} partition contains an empty cell")
-            for w in members:
-                if w not in self._widx:
-                    raise ModelError(f"{label} partition references unknown world {w!r}")
-                if w in seen:
-                    raise ModelError(
-                        f"world {w!r} appears in more than one cell of the {label} partition")
-                seen.add(w)
-            out.append(frozenset(members))
-        for w in self.worlds:
-            if w not in seen:
-                raise ModelError(f"world {w!r} not covered by the {label} partition")
-        return tuple(out)
+        # n members that cover the n worlds repeat none and name no other
+        if not ([] not in cells and sum(map(len, cells)) == len(self.worlds)
+                and set().union(*cells) == self._widx.keys()):
+            seen: set[str] = set()
+            for cell in cells:
+                if not cell:
+                    raise ModelError(f"{label} partition contains an empty cell")
+                for w in cell:
+                    if w not in self._widx:
+                        raise ModelError(f"{label} partition references unknown world {w!r}")
+                    if w in seen:
+                        raise ModelError(
+                            f"world {w!r} appears in more than one cell of the {label} partition")
+                    seen.add(w)
+            for w in self.worlds:
+                if w not in seen:
+                    raise ModelError(f"world {w!r} not covered by the {label} partition")
+        return tuple(map(frozenset, cells))
 
     def __repr__(self) -> str:
         return (f"KripkeModel({len(self.worlds)} worlds, "
@@ -352,11 +374,6 @@ class KripkeModel:
         return doc
 
 
-_DOC_FIELDS = {"propositions", "variables", "worlds", "epistemic_partition",
-               "nomic_partition", "mirrors", "comment"}
-_WORLD_FIELDS = {"id", "props", "vals"}
-
-
 def load_model(doc: str | dict) -> KripkeModel:
     """Build a validated model from a JSON string or an already-parsed dict."""
     if isinstance(doc, str):
@@ -364,64 +381,7 @@ def load_model(doc: str | dict) -> KripkeModel:
             doc = json.loads(doc)
         except (json.JSONDecodeError, RecursionError) as e:
             raise ModelError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ModelError("model document must be a JSON object")
-    unknown = set(doc) - _DOC_FIELDS
-    if unknown:
-        raise ModelError(f"unknown field {sorted(unknown)[0]!r} in model document")
-    for field in ("propositions", "variables", "worlds",
-                  "epistemic_partition", "nomic_partition"):
-        if field not in doc:
-            raise ModelError(f"model document missing field {field!r}")
-        if not isinstance(doc[field], list):
-            raise ModelError(f"field {field!r} must be a list")
-
-    variables = []
-    for entry in doc["variables"]:
-        if not isinstance(entry, dict) or set(entry) != {"name", "hidden"}:
-            raise ModelError(f"variable entry {entry!r} must be "
-                             f'{{"name": ..., "hidden": ...}}')
-        variables.append((entry["name"], entry["hidden"]))
-
-    worlds, valuation, assignment = [], {}, {}
-    for entry in doc["worlds"]:
-        if not isinstance(entry, dict) or set(entry) != _WORLD_FIELDS:
-            raise ModelError(f'world entry must be {{"id", "props", "vals"}}, '
-                             f"got {entry!r}")
-        w = entry["id"]
-        if not (isinstance(w, str) and isinstance(entry["props"], dict)
-                and isinstance(entry["vals"], dict)):
-            raise ModelError(f'world entry {entry!r}: "id" must be a string, '
-                             f'"props" and "vals" objects')
-        worlds.append(w)
-        valuation[w] = entry["props"]
-        assignment[w] = entry["vals"]
-    for field in ("epistemic_partition", "nomic_partition"):
-        cells = doc[field]
-        if not (set(map(type, cells)) <= {list}
-                and set(map(type, chain.from_iterable(cells))) <= {str}):
-            for cell in cells:
-                if not (isinstance(cell, list) and all(isinstance(w, str) for w in cell)):
-                    raise ModelError(f"field {field!r}: cell {cell!r} must be a list "
-                                     f"of world identifiers")
-
-    mirrors = doc.get("mirrors", {})
-    if not (isinstance(mirrors, dict)
-            and all(isinstance(x, str) for x in mirrors.values())):
-        raise ModelError("field 'mirrors' must be an object of variable names")
-    comment = doc.get("comment", "")
-    if not isinstance(comment, str):
-        raise ModelError("field 'comment' must be a string")
-
-    return KripkeModel(worlds=worlds,
-                       propositions=doc["propositions"],
-                       variables=variables,
-                       valuation=valuation,
-                       assignment=assignment,
-                       epistemic_partition=doc["epistemic_partition"],
-                       nomic_partition=doc["nomic_partition"],
-                       mirrors=mirrors,
-                       comment=comment)
+    return KripkeModel(doc)
 
 
 def load_model_path(path) -> KripkeModel:

@@ -2,11 +2,12 @@
 function, class and constant is used, as a name or an attribute, in the
 package outside its own definition, or in the benchmark harness, or is a
 console-script entry point.  A name only tests call belongs in the tests.
-Likewise every defaulted parameter of a public module-level function is
-passed by some call in the package or the benchmark harness; a knob only
-tests turn belongs in the tests.  And every public method or property of a
-public class is read as an attribute in the package outside its own
-definition, or in the benchmark harness.
+Likewise every defaulted parameter of a public module-level function, or
+of the ``__init__`` or ``__new__`` of a public class, is passed by some call
+in the package or the benchmark harness; a knob only tests turn belongs in
+the tests.  And every public method or property of a public class is read
+as an attribute in the package outside its own definition, or in the
+benchmark harness.
 
 Uses are read from the syntax tree, so a word in a docstring or a comment,
 a name that only calls itself, or a parameter that a function only passes
@@ -58,15 +59,16 @@ def test_every_public_name_has_a_caller():
     assert not unused, "no caller outside tests:\n" + "\n".join(unused)
 
 
-def _argument(call: ast.Call, fn: ast.FunctionDef, param: str):
-    """What ``call`` passes for ``param`` of ``fn``: an expression, ``...``
-    when a starred argument may pass it, or None when nothing is passed."""
+def _argument(call: ast.Call, fn: ast.FunctionDef, bound: int, param: str):
+    """What ``call`` passes for ``param`` of ``fn``, whose first ``bound``
+    parameters the call does not pass: an expression, ``...`` when a starred
+    argument may pass it, or None when nothing is passed."""
     for kw in call.keywords:
         if kw.arg == param:
             return kw.value
         if kw.arg is None:
             return ...
-    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args][bound:]
     if param not in positional:
         return None
     i = positional.index(param)
@@ -93,23 +95,31 @@ def _defaulted(fn: ast.FunctionDef) -> list[str]:
 def test_every_defaulted_parameter_is_passed():
     package = [_parse(p) for p in sorted((ROOT / "src/depmodal").rglob("*.py"))]
     harness = [_parse(p) for p in sorted((ROOT / "perfbench").rglob("*.py"))]
-    functions = [stmt for tree in package for stmt in tree.body
+    # (called name, definition, parameters a call does not pass): public
+    # functions, and the constructors of public classes, called by the class
+    # name and bound to ``self`` or ``cls``
+    functions = [(stmt.name, stmt, 0) for tree in package for stmt in tree.body
                  if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")]
+    functions += [(cls.name, fn, 1) for tree in package for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                  for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "__new__")]
     # every call, with the top-level function it sits in (None outside one)
     calls = [(getattr(stmt, "name", None), node)
              for tree in package + harness for stmt in tree.body
              for node in ast.walk(stmt) if isinstance(node, ast.Call)]
 
-    def passes(owner, call, fn, param) -> bool:
-        arg = _argument(call, fn, param)
+    def passes(owner, call, name, fn, bound, param) -> bool:
+        arg = _argument(call, fn, bound, param)
         if arg is None:
             return False
         # a self-call handing its own parameter on unchanged turns no knob
-        return not (owner == fn.name and isinstance(arg, ast.Name) and arg.id == param)
+        return not (owner == name and isinstance(arg, ast.Name) and arg.id == param)
 
-    unpassed = [f"{fn.name}.{param}" for fn in functions for param in _defaulted(fn)
-                if not any(passes(owner, call, fn, param) for owner, call in calls
-                           if _callee(call) == fn.name)]
+    unpassed = [f"{name}.{param}" for name, fn, bound in functions
+                for param in _defaulted(fn)
+                if not any(passes(owner, call, name, fn, bound, param)
+                           for owner, call in calls if _callee(call) == name)]
     assert not unpassed, "no caller outside tests passes:\n" + "\n".join(unpassed)
 
 

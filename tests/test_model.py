@@ -1,3 +1,4 @@
+import copy
 import json
 from unittest import mock
 
@@ -7,9 +8,12 @@ from hypothesis import strategies as st
 
 from depmodal.bisim import find_distinguishing_formula
 from depmodal.errors import EvalError, ModelError
-from depmodal.fixtures import fixture_text
+from depmodal.fixtures import (fixture_claims, fixture_names, fixture_text,
+                               load_fixture)
 from depmodal.harness import GenParams, random_model
 from depmodal.model import KripkeModel, load_model
+from depmodal.semantics import evaluate, evaluate_by_evidence
+from depmodal.syntax import parse_formula
 
 from oracles import agree_outside, delta, differs_on
 
@@ -48,9 +52,14 @@ class TestLoad:
         assert open_door.assignment["s"]["bar_r"] == 1
         assert open_door.valuation["w4"]["r"] == 0
 
-    def test_roundtrip_through_to_dict(self, open_door):
-        again = load_model(json.dumps(open_door.to_dict()))
-        assert again.to_dict() == open_door.to_dict()
+    @pytest.mark.parametrize("source", fixture_names() + list(range(50)))
+    def test_roundtrip_through_to_dict(self, source):
+        # a bundled fixture by name, or a random model by seed
+        m = (load_fixture(source) if isinstance(source, str)
+             else random_model(GenParams(seed=source)))
+        doc = m.to_dict()
+        for again in (load_model(doc), load_model(json.dumps(doc)), KripkeModel(doc)):
+            assert again.to_dict() == doc
 
     def test_world_not_covered(self):
         doc = tiny_model(nomic_partition=[["u"]])
@@ -348,6 +357,41 @@ class TestClasses:
             open_door.nomic_class("zz")
 
 
+def _scramble(node) -> None:
+    """Change every list and dict under ``node`` in place: flip values,
+    rename strings, add an entry, and reverse lists."""
+    for child in list(node.values() if isinstance(node, dict) else node):
+        if isinstance(child, (dict, list)):
+            _scramble(child)
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if isinstance(value, (bool, int)):
+                node[key] = 1 - value
+            elif isinstance(value, str):
+                node[key] = value + "_"
+        node["zz"] = 0
+    else:
+        node.reverse()
+        node.append("zz")
+
+
+def test_model_is_a_snapshot_of_its_document():
+    # the model copies what it keeps: changing every list and dict of the
+    # document after loading changes neither its document form nor its answers
+    doc = json.loads(fixture_text("open_door"))
+    twin = load_model(copy.deepcopy(doc))
+    m = load_model(doc)
+    _scramble(doc)
+    assert doc["mirrors"]["zz"] == 0 and doc["nomic_partition"][-1] == "zz"
+    assert m.to_dict() == twin.to_dict()
+    texts = [c.formula for c in fixture_claims("open_door")] + [
+        "p & !q", "Dg(bar_p;bar_r)", "Dl({bar_q};{bar_r})", "A K Dl(bar_p;bar_p)"]
+    for f in map(parse_formula, texts):
+        for w in twin.worlds:
+            assert evaluate(m, w, f) == evaluate(twin, w, f)
+            assert evaluate_by_evidence(m, w, f) == evaluate_by_evidence(twin, w, f)
+
+
 def test_pointed_model_checks_point(open_door):
     # a pointed model (M, s) needs s in M, for either point of a comparison
     assert find_distinguishing_formula(open_door, "s", open_door, "s") is None
@@ -357,15 +401,13 @@ def test_pointed_model_checks_point(open_door):
 
 
 def test_constructor_direct_use():
-    m = KripkeModel(
-        worlds=["a"],
-        propositions=[],
-        variables=[("x", False)],
-        valuation={"a": {}},
-        assignment={"a": {"x": 5}},
-        epistemic_partition=[["a"]],
-        nomic_partition=[["a"]],
-    )
+    m = KripkeModel({
+        "propositions": [],
+        "variables": [{"name": "x", "hidden": False}],
+        "worlds": [{"id": "a", "props": {}, "vals": {"x": 5}}],
+        "epistemic_partition": [["a"]],
+        "nomic_partition": [["a"]],
+    })
     assert m.assignment["a"]["x"] == 5
 
 
@@ -378,15 +420,14 @@ def test_constructor_accepts_what_only_the_per_world_check_accepts():
     # an int subclass other than bool is a valid variable value; the
     # whole-model pass tests exact types, so this model takes the per-world
     # path, which must build the same tables
-    m = KripkeModel(
-        worlds=["a", "b"],
-        propositions=["p"],
-        variables=[("x", False), ("h", True)],
-        valuation={"a": {"p": 1}, "b": {"p": 0}},
-        assignment={"a": {"x": _Level(2), "h": 0}, "b": {"h": 1, "x": 0}},
-        epistemic_partition=[["a", "b"]],
-        nomic_partition=[["b", "a"]],
-    )
+    m = load_model({
+        "propositions": ["p"],
+        "variables": [{"name": "x", "hidden": False}, {"name": "h", "hidden": True}],
+        "worlds": [{"id": "a", "props": {"p": 1}, "vals": {"x": _Level(2), "h": 0}},
+                   {"id": "b", "props": {"p": 0}, "vals": {"h": 1, "x": 0}}],
+        "epistemic_partition": [["a", "b"]],
+        "nomic_partition": [["b", "a"]],
+    })
     assert m._row == {"a": (2, 0), "b": (0, 1)}
     assert m.assignment == {"a": {"x": 2, "h": 0}, "b": {"h": 1, "x": 0}}
     assert m._local_rep == {"a": "a", "b": "b"}
