@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .dependency import (EvidenceFamily, atom_holds_from_family, generative_family,
-                         p_family)
+from .dependency import EvidenceFamily, atom_holds_from_family, is_generative, p_family
 from .errors import EvalError
 from .model import KripkeModel
 from .syntax import (GLOBAL, LOCAL, All, DepG, DepL, Formula, Know, Not, Prop,
@@ -62,10 +61,10 @@ class _Refiner:
     of the propositions and both generative families.  The difference
     families are read once per anchor, from each nomic class's table (the
     global family and one local family per distinct row); each distinct
-    difference family is closed once for both models, and each distinct
-    generative family gets a small int, its index in ``gens``.  A node's
-    level-0 profile is ``(proposition values, global id, local id)``, so
-    numbering it hashes ints.
+    difference family's core is found once for both models, and each
+    distinct core, which stands for one generative family, gets a small int.
+    A node's level-0 profile is ``(proposition values, global id, local
+    id)``, so numbering it hashes ints.
     ``levels[j]`` splits each cell of level j-1 by the cells its members'
     epistemic and nomic classes reach.  The last level is stable, so its
     cells are the bisimilarity classes."""
@@ -77,10 +76,10 @@ class _Refiner:
         self.cells: list[tuple[int, ...]] = []
         self.epi: list[int] = []
         self.nomic: list[int] = []
-        # distinct generative families -> their ids, in id order
-        gen_ids: dict[EvidenceFamily, int] = {}
-        # difference family -> the id of its closure
-        closed: dict[EvidenceFamily, int] = {}
+        # distinct cores -> their ids
+        core_ids: dict[frozenset, int] = {}
+        # difference family -> the id of its core
+        cored: dict[EvidenceFamily, int] = {}
         values = operator.itemgetter(*self.props) if self.props else (lambda pv: ())
         self.profiles: list[tuple] = []
         for mdl, offset in ((m, 0), (m2, len(m.worlds))):
@@ -93,7 +92,7 @@ class _Refiner:
                     self.cells.append(tuple(map(offset.__add__,
                                                 map(mdl._widx.__getitem__, sorted(cls)))))
                 cell_of += map(index.__getitem__, map(table.__getitem__, mdl.worlds))
-            # each anchor's generative id: the nomic class's for the global
+            # each anchor's core id: the nomic class's for the global
             # family, the row representative's for the local one; any world
             # of a class reads its global family
             gen_of: dict = {}
@@ -101,17 +100,14 @@ class _Refiner:
             anchored += [(LOCAL, rep, rep) for rep in dict.fromkeys(mdl._local_rep.values())]
             for kind, anchor, w in anchored:
                 fam = p_family(mdl, w, kind)
-                gid = closed.get(fam)
+                gid = cored.get(fam)
                 if gid is None:
-                    gid = closed[fam] = gen_ids.setdefault(generative_family(fam),
-                                                           len(gen_ids))
+                    gid = cored[fam] = core_ids.setdefault(_core(fam), len(core_ids))
                 gen_of[anchor] = gid
             self.profiles += zip(
                 map(values, map(mdl.valuation.__getitem__, mdl.worlds)),
                 map(gen_of.__getitem__, map(mdl._nomic_cell.__getitem__, mdl.worlds)),
                 map(gen_of.__getitem__, map(mdl._local_rep.__getitem__, mdl.worlds)))
-        #: distinct generative families, indexed by id
-        self.gens: list[EvidenceFamily] = list(gen_ids)
         self.levels: list[list[int]] = [_number(self.profiles)]
         while True:
             prev = self.levels[-1]
@@ -155,11 +151,13 @@ class _Refiner:
         for p in self.props:
             if ma.valuation[wa][p] != mb.valuation[wb][p]:
                 return Prop(p)
+        # the least set the generative families disagree on is a member, and
+        # the members before it lie in both, so none of their atoms separates
         for kind, i in ((GLOBAL, 1), (LOCAL, 2)):
-            ga = self.gens[self.profiles[a][i]]
-            gb = self.gens[self.profiles[b][i]]
-            diff = sorted(ga ^ gb, key=lambda s: (len(s), sorted(s)))
-            for w in diff:
+            if self.profiles[a][i] == self.profiles[b][i]:
+                continue
+            members = p_family(ma, wa, kind) | p_family(mb, wb, kind)
+            for w in sorted(members, key=lambda s: (len(s), sorted(s))):
                 for atom in _block_atoms(kind, w):
                     if self._atom_true_at(a, atom) != self._atom_true_at(b, atom):
                         return atom
@@ -191,6 +189,13 @@ class _Refiner:
                                 for c in sorted(img_a))
                 return box(Not(body))
         raise AssertionError("split level with equal successor images")
+
+
+def _core(p: EvidenceFamily) -> frozenset:
+    """The members of ``p`` its strictly smaller members do not generate;
+    families with equal cores have equal generative families."""
+    return frozenset(w for w in p
+                     if not is_generative(frozenset(m for m in p if m < w), w, "partition"))
 
 
 def _block_atoms(kind: str, w: frozenset[str]):

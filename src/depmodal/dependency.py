@@ -28,7 +28,7 @@ import operator
 from typing import Iterable
 
 from .model import KripkeModel
-from .syntax import GLOBAL, VarSet
+from .syntax import GLOBAL, VarSet, proper_subsets
 
 METHODS = ("lemma", "partition", "graph")
 
@@ -137,9 +137,9 @@ def is_generative(p: EvidenceFamily, w: VarSet, method: str = "lemma") -> bool:
     Three equivalent decision routes are provided and tested against each
     other: ``lemma`` (singletons must be members; otherwise every two-block
     split of ``w`` needs an evidence in ``p``), ``partition`` (the members
-    inside ``w`` must cover it, and every way of splitting that sub-family in
-    two leaves the halves overlapping), and ``graph`` (the members inside
-    ``w`` cover it and their intersection graph is connected).
+    inside ``w`` cover it, and joining the variables each of them holds
+    leaves one block), and ``graph`` (the members inside ``w`` cover it and
+    their intersection graph is connected).
     """
     if not w:
         raise ValueError("w must be nonempty")
@@ -159,27 +159,16 @@ def is_generative(p: EvidenceFamily, w: VarSet, method: str = "lemma") -> bool:
 def _generative_lemma(p: EvidenceFamily, w: VarSet) -> bool:
     if len(w) == 1:
         return w in p
-    names = sorted(w)
-    for size in range(1, len(names)):
-        for combo in itertools.combinations(names, size):
-            z = frozenset(combo)
-            rest = w - z
-            if not any(is_evidence(m, z, rest) for m in p):
-                return False
-    return True
+    return all(atom_holds_from_family(p, z, w - z) for z in proper_subsets(w))
 
 
 def _generative_partition(sig: frozenset[VarSet]) -> bool:
-    members = sorted(sig, key=lambda m: (len(m), sorted(m)))
-    n = len(members)
-    for mask in range(1, (1 << n) - 1):
-        left: set[str] = set()
-        right: set[str] = set()
-        for i in range(n):
-            (left if mask >> i & 1 else right).update(members[i])
-        if not left & right:
-            return False
-    return True
+    # join each member with every block of variables it meets
+    blocks: list[VarSet] = []
+    for m in sig:
+        met = [b for b in blocks if b & m]
+        blocks = [b for b in blocks if not b & m] + [m.union(*met)]
+    return len(blocks) == 1
 
 
 def _generative_graph(sig: frozenset[VarSet]) -> bool:

@@ -50,8 +50,8 @@ global family and the local family of each distinct row, keyed by their
 anchors and filled as they are asked for.  The direct route's row getters
 for a pair of argument sets (``"projections"``) depend only on the model's
 variables, so one entry serves every anchor and both kinds.  Generative
-families are not cached here: they depend only on the difference family, so
-callers close each distinct family themselves.
+families are not cached here: only the ``generative`` command builds one,
+and bisimulation compares difference families by their cores.
 """
 
 from __future__ import annotations

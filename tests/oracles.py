@@ -2,7 +2,8 @@
 
 These deliberately avoid the production code paths they are checking:
 generativity is decided straight from its defining quantification over
-argument-set covers, generative families are recomputed by enumerating
+argument-set covers, or by enumerating every two-way split of the members
+inside the candidate, generative families are recomputed by enumerating
 connected sub-collections of the family, a relation is checked to be a
 bisimulation pair by pair from the definition, the greatest bisimulation is
 recomputed by deleting pairs until every survivor transfers, and formulas are
@@ -47,6 +48,22 @@ def cover_oracle(p: EvidenceFamily, w: frozenset) -> bool:
         if not x or not y:
             continue
         if not any(is_evidence(m, x, y) for m in members):
+            return False
+    return True
+
+
+def split_partition_oracle(sig) -> bool:
+    """The partition route by enumeration: every way of splitting ``sig`` in
+    two leaves the unions of the halves overlapping.  The caller checks that
+    ``sig`` covers the candidate."""
+    members = sorted(sig, key=lambda m: (len(m), sorted(m)))
+    n = len(members)
+    for mask in range(1, (1 << n) - 1):
+        left: set[str] = set()
+        right: set[str] = set()
+        for i in range(n):
+            (left if mask >> i & 1 else right).update(members[i])
+        if not left & right:
             return False
     return True
 

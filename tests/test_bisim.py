@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depmodal.bisim import find_distinguishing_formula, greatest_bisimulation
-from depmodal.dependency import atom_holds_from_family, generative_family, p_family
+from depmodal.bisim import _core, find_distinguishing_formula, greatest_bisimulation
+from depmodal.dependency import (EvidenceFamily, atom_holds_from_family,
+                                 generative_family, p_family)
 from depmodal.errors import EvalError
 from depmodal.harness import GenParams, random_model
 from depmodal.model import load_model
@@ -15,7 +16,8 @@ from depmodal.semantics import evaluate
 from depmodal.syntax import GLOBAL, LOCAL, DepL, Prop, dep_atom, modal_depth
 
 from oracles import (agree_outside, are_bisimilar, bisimulation_oracle,
-                     differs_on, pair_deletion_oracle, recursive_eval_oracle)
+                     connected_union_oracle, differs_on, pair_deletion_oracle,
+                     random_family, recursive_eval_oracle)
 
 
 def vs(*names):
@@ -397,3 +399,30 @@ def _atoms_agree(fam1, fam2, names):
                for c in itertools.combinations(names, size)]
     return all(atom_holds_from_family(fam1, x, y) == atom_holds_from_family(fam2, x, y)
                for x in subsets for y in subsets)
+
+
+# ---------------------------------------------------------------------------
+# Irreducible cores
+# ---------------------------------------------------------------------------
+
+def test_equal_cores_iff_equal_generative_families():
+    # even draws add generated sets to p, so the two generative families are
+    # equal by construction; odd draws also drop one of p's members, which
+    # may change the generative family or not
+    rng = random.Random(31)
+    outcomes = set()
+    for i in range(2000):
+        p = random_family(rng, max_support=5, max_members=6)
+        gen = sorted(generative_family(p), key=sorted)
+        q = set(p) | set(rng.sample(gen, rng.randint(0, min(3, len(gen)))))
+        if i % 2:
+            q.discard(rng.choice(sorted(p, key=sorted)))
+        q = EvidenceFamily(q)
+        same = connected_union_oracle(p) == connected_union_oracle(q)
+        assert same or i % 2
+        assert (_core(p) == _core(q)) == same, (p, q)
+        # the core is a sub-family that generates the same sets
+        assert _core(p) <= p
+        assert connected_union_oracle(EvidenceFamily(_core(p))) == connected_union_oracle(p)
+        outcomes.add(same)
+    assert outcomes == {False, True}

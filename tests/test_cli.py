@@ -28,6 +28,22 @@ def run_on_fresh_stack(capsys, *argv):
     return result[0]
 
 
+def unit_vector_model(tmp_path, k) -> str:
+    """A model file of k worlds and k named variables, where world ``wi`` has
+    ``xi = 1`` and every other variable 0, in one epistemic and one nomic
+    class.  Its global family is every pair of variables, and its generative
+    family has 2^k - k - 1 sets."""
+    names = [f"x{i}" for i in range(k)]
+    ws = [f"w{i}" for i in range(k)]
+    path = tmp_path / f"unit{k}.edl"
+    path.write_text(json.dumps({
+        "propositions": [], "variables": [{"name": x, "hidden": False} for x in names],
+        "worlds": [{"id": w, "props": {}, "vals": {x: int(i == j) for j, x in enumerate(names)}}
+                   for i, w in enumerate(ws)],
+        "epistemic_partition": [ws], "nomic_partition": [ws]}))
+    return str(path)
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -207,6 +223,21 @@ class TestGenerative:
                 assert data["generative_family"] == sorted(
                     sorted(s) for s in connected_union_oracle(fam))
 
+    def test_unit_vector_full_candidate(self, capsys, tmp_path):
+        # sigma is all 28 pairs of the 8 variables: the partition route must
+        # not enumerate its 2^28 - 2 splits
+        path = unit_vector_model(tmp_path, 8)
+        candidate = "{" + ",".join(f"x{i}" for i in range(8)) + "}"
+        code, out, _ = run(capsys, "generative", path, "w0", candidate, "--kind", "g")
+        assert code == 0
+        assert "generative: lemma=true partition=true graph=true" in out
+        code, out, _ = run(capsys, "generative", path, "w0", candidate, "--kind", "g",
+                           "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert len(data["sigma"]) == 28
+        assert len(data["generative_family"]) == 2 ** 8 - 8 - 1
+
     def test_kind_required(self, capsys):
         code, _, _ = run(capsys, "generative", fixture_path("open_door"), "s")
         assert code == 2
@@ -292,28 +323,50 @@ class TestBisim:
         assert code == 0
         assert len(built) == 1
 
-    def test_one_closure_per_difference_family(self, capsys, monkeypatch):
+    def test_one_core_per_difference_family(self, capsys, monkeypatch):
         from depmodal import bisim, dependency
         from depmodal.model import load_model_path
         from depmodal.syntax import GLOBAL, LOCAL
 
-        closed = []
-        original = dependency.generative_family
+        cored = []
+        original = bisim._core
 
         def counted(fam):
-            closed.append(fam)
+            cored.append(fam)
             return original(fam)
 
-        monkeypatch.setattr(dependency, "generative_family", counted)
-        monkeypatch.setattr(bisim, "generative_family", counted)
+        def closed(fam):
+            raise AssertionError("bisim closed a difference family")
+
+        monkeypatch.setattr(bisim, "_core", counted)
+        # bisim keeps no name of its own for the closure, so this patch is seen
+        assert not hasattr(bisim, "generative_family")
+        monkeypatch.setattr(dependency, "generative_family", closed)
         paths = [fixture_path("experiment_2runs"), fixture_path("experiment_3runs")]
         code, _, _ = run(capsys, "bisim", paths[0], "w1", paths[1], "w1")
         assert code == 0
         families = {dependency.p_family(m, w, kind)
                     for m in map(load_model_path, paths)
                     for w in m.worlds for kind in (GLOBAL, LOCAL)}
-        assert len(closed) == len(families)
-        assert set(closed) == families
+        assert len(cored) == len(families)
+        assert set(cored) == families
+
+    def test_unit_vector_points_split_at_level_zero(self, capsys, tmp_path):
+        from depmodal.model import load_model_path
+        from depmodal.semantics import evaluate
+        from depmodal.syntax import modal_depth, parse_formula
+
+        # the global family's generative family has 65,519 sets; level 0
+        # must not build it
+        path = unit_vector_model(tmp_path, 16)
+        code, out, _ = run(capsys, "bisim", path, "w0", path, "w1", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["bisimilar"] is False
+        f = parse_formula(data["distinguishing"])
+        assert modal_depth(f) == 0
+        m = load_model_path(path)
+        assert evaluate(m, "w0", f) != evaluate(m, "w1", f)
 
     def test_negative_depth_rejected_before_loading(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.edl")

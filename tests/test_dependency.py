@@ -9,7 +9,8 @@ from depmodal.dependency import (EvidenceFamily, METHODS,
                                  p_family, sigma)
 from depmodal.syntax import GLOBAL, LOCAL
 
-from oracles import connected_union_oracle, cover_oracle, random_family
+from oracles import (connected_union_oracle, cover_oracle, random_family,
+                     split_partition_oracle)
 
 
 def vs(*names):
@@ -151,6 +152,26 @@ class TestIsGenerative:
                     verdicts = {m: is_generative(p, w, m) for m in METHODS}
                     assert len(set(verdicts.values())) == 1, (p, w, verdicts)
                     assert verdicts["lemma"] == cover_oracle(p, w), (p, w)
+
+    def test_partition_route_matches_split_enumeration(self):
+        # the enumeration of every two-way split of sigma(p, w) is the
+        # partition route's oracle; candidates are the support and a sample
+        # of its subsets, so both verdicts occur
+        rng = random.Random(2024)
+        verdicts = set()
+        for _ in range(1000):
+            p = random_family(rng, max_support=8, max_members=10)
+            support = sorted(p.support)
+            candidates = {p.support}
+            for _ in range(3):
+                candidates.add(frozenset(rng.sample(support, rng.randint(1, len(support)))))
+            for w in candidates:
+                sig = sigma(p, w)
+                expected = frozenset().union(*sig) == w and split_partition_oracle(sig)
+                assert is_generative(p, w, "partition") == expected, (p, w)
+                assert is_generative(p, w, "lemma") == expected, (p, w)
+                verdicts.add(expected)
+        assert verdicts == {False, True}
 
     def test_support_escaping_candidate_is_never_generative(self):
         rng = random.Random(5)

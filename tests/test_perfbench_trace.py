@@ -25,8 +25,8 @@ from depmodal.syntax import collect_dep_atoms
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
 
-# the bisim pair is not bisimilar, so the op closes families and builds a
-# distinguishing formula
+# the bisim pair is not bisimilar, so the op numbers the families' cores and
+# builds a distinguishing formula
 OPS = {
     "bisim": ("bisim", fixture_path("dl_strictness_witness"), "a",
               fixture_path("dl_strictness_witness"), "b"),
