@@ -65,9 +65,8 @@ def p_family(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
     the global one."""
     anchor = m._anchor(s, kind)
     key = ("families", m._nomic_cell[s])
-    # a hit reads the memo table without the ``_memo`` call: every atom
-    # miss of the evidence route comes here
-    buckets, table = m._memo_table.get(key) or m._memo(key, _class_rows, m, key[1])
+    buckets, table = (m._memo_table.get(key)
+                      or m._memo_table.setdefault(key, _class_rows(m, key[1])))
     fam = table.get(anchor)
     if fam is not None:
         return fam
@@ -78,8 +77,7 @@ def p_family(m: KripkeModel, s: str, kind: str) -> EvidenceFamily:
     else:
         own = m._row[s]
         members = {_diff(named, u, own) for u in buckets[own[len(named):]] if u != own}
-    with m._cache_lock:
-        return table.setdefault(anchor, EvidenceFamily(members))
+    return table.setdefault(anchor, EvidenceFamily(members))
 
 
 def _class_rows(m: KripkeModel, cell: frozenset[str]) -> tuple[dict, dict]:
@@ -106,22 +104,25 @@ def atom_holds_from_family(fam: EvidenceFamily, x: VarSet, y: VarSet) -> bool:
     """Dependency-atom truth given a difference family.  Purely set-theoretic,
     so it also answers atoms over names a particular model never declares
     (such names simply never vary there)."""
-    return any(is_evidence(w, x, y) for w in fam)
+    for w in fam:
+        if is_evidence(w, x, y):
+            return True
+    return False
 
 
 def dep_holds_by_evidence(m: KripkeModel, s: str, kind: str,
                           x: VarSet, y: VarSet) -> bool:
     """Dependency-atom truth via the evidence route: search the world's
     difference family for an evidence of the pair."""
-    return m._memo(("evidence", kind, x, y, m._anchor(s, kind)),
-                   _evidence_miss, m, s, kind, x, y)
-
-
-def _evidence_miss(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) -> bool:
-    # a stored entry implies its names passed: x and y are in its key
-    m._check_named(x)
-    m._check_named(y)
-    return atom_holds_from_family(p_family(m, s, kind), x, y)
+    key = ("evidence", kind, x, y, m._anchor(s, kind))
+    value = m._memo_table.get(key)
+    if value is None:
+        # a stored entry implies its names passed: x and y are in its key
+        m._check_named(x)
+        m._check_named(y)
+        value = m._memo_table.setdefault(
+            key, atom_holds_from_family(p_family(m, s, kind), x, y))
+    return value
 
 
 def sigma(p: EvidenceFamily, w: VarSet) -> frozenset[VarSet]:

@@ -307,7 +307,8 @@ def soundness_suite(params: GenParams, trials: int) -> SoundnessReport:
 
     Each route is asked once per atom and anchor, at the anchor's first world
     in model order: the direct route through ``semantics.dep_holds_direct``,
-    the evidence route straight from the anchor's difference family.  The
+    the evidence route straight from the anchor's difference family, which
+    is read once per anchor and serves every atom of its kind.  The
     answer stands for every world of the anchor, which is the rule the
     per-model memo already keys both routes by; a replaced direct route
     whose answer varies inside one anchor is read at the anchor's first
@@ -355,21 +356,23 @@ def soundness_suite(params: GenParams, trials: int) -> SoundnessReport:
 
 def _route_extensions(m: KripkeModel, atoms) -> tuple[dict, dict]:
     """Each atom's world set by the direct route and by the evidence route,
-    each route asked once per anchor of the atom's kind."""
+    each route asked once per anchor of the atom's kind.  Each anchor's
+    difference family is read once, with its group of worlds."""
     groups = {}
     for kind in KINDS:
         by_anchor: dict = {}
         for s in m.worlds:
             by_anchor.setdefault(m._anchor(s, kind), []).append(s)
-        groups[kind] = [(ws[0], ws) for ws in by_anchor.values()]
+        groups[kind] = [(ws[0], ws, dependency.p_family(m, ws[0], kind))
+                        for ws in by_anchor.values()]
     direct, evidence = {}, {}
     for atom in atoms:
         kind, x, y = atom
         d = direct[atom] = set()
         r = evidence[atom] = set()
-        for s, ws in groups[kind]:
+        for s, ws, fam in groups[kind]:
             if semantics.dep_holds_direct(m, s, kind, x, y):
                 d.update(ws)
-            if dependency.atom_holds_from_family(dependency.p_family(m, s, kind), x, y):
+            if dependency.atom_holds_from_family(fam, x, y):
                 r.update(ws)
     return direct, evidence

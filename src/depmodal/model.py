@@ -37,10 +37,14 @@ values are most of a document, and a partition's sizes and union replace a
 lookup per member.  World ids and world entries are checked by their loops
 alone, since a pass there measured no faster than the loop.
 
-Derived answers are cached per model, and computed outside the cache lock
-because computations nest.  A global answer is anchored at the world's
-nomic class.  A local answer reads only the world's nomic class and its row
-of variable values, so it is anchored at the world's representative: the
+Derived answers are cached per model, in one dict, ``_memo_table``.  Each
+reader looks its key up there itself, so a hit calls and builds nothing.  A
+miss computes its value first, because computations nest, and stores it
+with one ``dict.setdefault``, which is atomic for the cache's keys
+(strings, frozensets and tuples of them), so concurrent callers all get the
+first value stored.  A global answer is anchored at the world's nomic
+class.  A local answer reads only the world's nomic class and its row of
+variable values, so it is anchored at the world's representative: the
 first world in model order with the same nomic class and the same row.
 Worlds with equal rows in one class share every local answer.  The cache
 holds four kinds of entry.  Dependency atoms are cached by their anchor, one
@@ -57,7 +61,6 @@ and bisimulation compares difference families by their cores.
 from __future__ import annotations
 
 import json
-import threading
 from itertools import chain
 from operator import itemgetter
 
@@ -227,7 +230,6 @@ class KripkeModel:
         # ``_anchor``'s per-world table for each kind
         self._anchor_table = {GLOBAL: self._nomic_cell, LOCAL: self._local_rep}
 
-        self._cache_lock = threading.Lock()
         self._memo_table: dict = {}
 
     def _value_tables(self, entries: list[dict],
@@ -336,17 +338,6 @@ class KripkeModel:
         except (KeyError, TypeError):
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}") from None
         return self._at(table, s)
-
-    def _memo(self, key: tuple, miss, *args):
-        """The cached ``miss(*args)`` for ``key``; a hit calls and builds
-        nothing.  Computed outside the lock, since one computation may ask for
-        another; concurrent callers all get the first value stored."""
-        cached = self._memo_table.get(key)
-        if cached is not None:
-            return cached
-        value = miss(*args)
-        with self._cache_lock:
-            return self._memo_table.setdefault(key, value)
 
     def nomic_class(self, w: str) -> frozenset[str]:
         """The nomic partition cell containing ``w``."""

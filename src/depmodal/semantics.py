@@ -3,16 +3,17 @@
 The direct route reads the truth clauses literally: a global dependency atom
 holds when some pair of worlds in the nomic class agrees everywhere outside
 the two argument sets while differing inside each of them; the local variant
-pins one end of the pair to the evaluation world.  The evidence route answers
-the same atoms by searching the world's difference family instead.  The two
-routes must agree everywhere; the CLI and the soundness harness treat any
-disagreement as an internal error.  Within one call, a ``K`` or ``A`` box is
-evaluated once per cell of its partition and reused at every world of it.
+pins one end of the pair to the evaluation world.  It tests agreement first:
+a world is compared inside the argument sets only with the worlds that share
+its values outside them.  The evidence route answers the same atoms by
+searching the world's difference family instead.  The two routes must agree
+everywhere; the CLI and the soundness harness treat any disagreement as an
+internal error.  Within one call, a ``K`` or ``A`` box is evaluated once per
+cell of its partition and reused at every world of it.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 
 from . import dependency
@@ -26,34 +27,46 @@ DIRECT = "direct"
 
 def dep_holds_direct(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) -> bool:
     """Dependency-atom truth by literal pair search over the nomic class."""
-    return m._memo((DIRECT, kind, x, y, m._anchor(s, kind)),
-                   _direct_miss, m, s, kind, x, y)
-
-
-def _direct_miss(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) -> bool:
-    # a stored entry implies its names passed: x and y are in its key
-    m._check_named(x)
-    m._check_named(y)
-    return _dep_direct_search(m, s, kind, x, y)
+    key = (DIRECT, kind, x, y, m._anchor(s, kind))
+    value = m._memo_table.get(key)
+    if value is None:
+        # a stored entry implies its names passed: x and y are in its key
+        m._check_named(x)
+        m._check_named(y)
+        value = m._memo_table.setdefault(key, _dep_direct_search(m, s, kind, x, y))
+    return value
 
 
 def _dep_direct_search(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) -> bool:
-    cls = m.nomic_class(s)
+    # s was validated by ``_anchor``
+    cls = m._nomic_cell[s]
     if not (x and y) or len(cls) < 2:
         # an empty side never differs, and a lone world has no partner
         return False
-    on_x, on_y, off_xy = m._memo(("projections", x, y), _projections, m, x, y)
-    rows = [m._row[t] for t in cls]
-    if kind == GLOBAL:
-        # the conditions are symmetric in (u, v) and fail on (u, u)
-        pairs = itertools.combinations(rows, 2)
-    else:
-        own = m._row[s]
-        pairs = ((t, own) for t in rows)
-    for u, v in pairs:
-        # differ somewhere in x, somewhere in y, and agree outside x | y
-        if on_x(u) != on_x(v) and on_y(u) != on_y(v) and off_xy(u) == off_xy(v):
-            return True
+    key = ("projections", x, y)
+    on_x, on_y, off_xy = (m._memo_table.get(key)
+                          or m._memo_table.setdefault(key, _projections(m, x, y)))
+    rows = m._row
+    # agree outside x | y first, then differ somewhere in x and somewhere in y
+    if kind == LOCAL:
+        own = rows[s]
+        ox, oy, oo = on_x(own), on_y(own), off_xy(own)
+        for t in cls:
+            u = rows[t]
+            if off_xy(u) == oo and on_x(u) != ox and on_y(u) != oy:
+                return True
+        return False
+    # the conditions are symmetric in (u, v) and fail on (u, u), so each world
+    # is paired with the earlier ones that agree with it outside x | y
+    agreeing: dict = {}
+    for t in cls:
+        u = rows[t]
+        ux, uy = on_x(u), on_y(u)
+        earlier = agreeing.setdefault(off_xy(u), [])
+        for vx, vy in earlier:
+            if vx != ux and vy != uy:
+                return True
+        earlier.append((ux, uy))
     return False
 
 

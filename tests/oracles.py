@@ -10,10 +10,13 @@ recomputed by deleting pairs until every survivor transfers, and formulas are
 evaluated by plain recursion with no memo of box values, reading each
 world's cells off the public partitions.  Difference sets and the agreement
 conditions of the dependency clauses are read pair by pair from the model's
-assignment.  ``are_bisimilar`` reads one pair off the
-greatest bisimulation.  ``soundness_oracle`` is the soundness suite's
-per-world loop: it asks both dependency routes at every world through their
-memoized entry points and evaluates each instance with ``extension``.
+assignment.  ``pair_search_oracle`` answers a dependency atom by testing
+the three conditions of its clause on every candidate pair of rows, with no
+grouping by the values outside the argument sets.  ``are_bisimilar`` reads
+one pair off the greatest bisimulation.  ``soundness_oracle`` is the
+soundness suite's per-world loop: it asks both dependency routes at every
+world through their memoized entry points and evaluates each instance with
+``extension``.
 """
 
 import itertools
@@ -202,6 +205,29 @@ def agree_outside(m, u, v, xy) -> bool:
     au, av = _values(m, u), _values(m, v)
     return all(au[x] == av[x] for x in m.named_variables + m.hidden_variables
                if x not in xy)
+
+
+def pair_search_oracle(m, s, kind, x, y) -> bool:
+    """Dependency-atom truth at ``s`` by testing every candidate pair of rows
+    of the nomic class: each unordered pair for the global kind, each row
+    against the row of ``s`` for the local kind."""
+    cls = m.nomic_class(s)
+    if not (x and y) or len(cls) < 2:
+        # an empty side never differs, and a lone world has no partner
+        return False
+    on_x, on_y, off_xy = semantics._projections(m, x, y)
+    rows = [m._row[t] for t in cls]
+    if kind == GLOBAL:
+        # the conditions are symmetric in (u, v) and fail on (u, u)
+        pairs = itertools.combinations(rows, 2)
+    else:
+        own = m._row[s]
+        pairs = ((t, own) for t in rows)
+    for u, v in pairs:
+        # differ somewhere in x, somewhere in y, and agree outside x | y
+        if on_x(u) != on_x(v) and on_y(u) != on_y(v) and off_xy(u) == off_xy(v):
+            return True
+    return False
 
 
 def recursive_eval_oracle(m, s, f, holds) -> bool:

@@ -7,7 +7,8 @@ of the ``__init__`` or ``__new__`` of a public class, is passed by some call
 in the package or the benchmark harness; a knob only tests turn belongs in
 the tests.  And every public method or property of a public class is read
 as an attribute in the package outside its own definition, or in the
-benchmark harness.
+benchmark harness.  Finally, every name a module of the package imports
+is read in that module, apart from the re-exports of ``__init__.py``.
 
 Uses are read from the syntax tree, so a word in a docstring or a comment,
 a name that only calls itself, or a parameter that a function only passes
@@ -146,3 +147,23 @@ def test_every_public_method_is_read():
               and not fn.name.startswith("_") and fn.name not in outside
               and not any(fn.name in _reads(t, skip=fn) for t in package)]
     assert not unread, "never read as an attribute outside tests:\n" + "\n".join(unread)
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted((ROOT / "src/depmodal").rglob("*.py")):
+        if path == EXPORTS:
+            continue
+        tree = _parse(path)
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.relative_to(ROOT)}: {name}"
+                       for name in names if name not in read]
+    assert not unused, "imported and never read:\n" + "\n".join(unused)

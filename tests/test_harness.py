@@ -12,7 +12,7 @@ from depmodal.harness import (GenParams, SchemaInstance, draw_instances,
                               schema_names, soundness_suite, Counterexample,
                               ROUTE_CHECK)
 from depmodal.model import load_model
-from depmodal.syntax import (BOT, GLOBAL, LOCAL, All, And, DepG, DepL,
+from depmodal.syntax import (BOT, GLOBAL, KINDS, LOCAL, All, And, DepG, DepL,
                              Know, Not, collect_dep_atoms, dep_atom, iff,
                              implies, disj, mutual_dependence, parse_formula,
                              render_formula)
@@ -338,6 +338,32 @@ def test_suite_asks_each_route_once_per_atom_and_anchor(monkeypatch):
     assert set(asked) == want
     # some anchor spans several worlds, so the per-world loop asks more
     assert report.atoms_checked > len(want)
+
+
+def test_suite_reads_each_family_once_per_anchor(monkeypatch):
+    models = []
+    real_model = harness.random_model
+
+    def recording_model(params):
+        m = real_model(params)
+        models.append(m)
+        return m
+
+    read = Counter()
+    real_family = dependency.p_family
+
+    def counting_family(m, s, kind):
+        read[m, kind, m._anchor(s, kind)] += 1
+        return real_family(m, s, kind)
+
+    monkeypatch.setattr(harness, "random_model", recording_model)
+    monkeypatch.setattr(dependency, "p_family", counting_family)
+    report = soundness_suite(GenParams(seed=0), trials=40)
+    assert not report.counterexamples
+    assert len(models) == 40
+    assert set(read.values()) == {1}
+    assert set(read) == {(m, kind, m._anchor(s, kind))
+                         for m in models for kind in KINDS for s in m.worlds}
 
 
 def test_route_disagreement_reported_at_each_world_of_its_anchor(monkeypatch):

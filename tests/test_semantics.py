@@ -22,7 +22,8 @@ from depmodal.syntax import (GLOBAL, LOCAL, TOP, All, DepG, DepL, Formula,
                              Know, Not, Prop, VarSet, collect_dep_atoms,
                              dep_atom, iff, implies, parse_formula)
 
-from oracles import agree_outside, delta, differs_on, recursive_eval_oracle
+from oracles import (agree_outside, delta, differs_on, pair_search_oracle,
+                     recursive_eval_oracle)
 
 
 def vs(*names):
@@ -319,6 +320,59 @@ def test_families_and_atoms_match_pair_enumeration(m):
                                    for u, v in kind_pairs)
                     assert dep_holds_direct(m, s, kind, x, y) == expected
                     assert dep_holds_by_evidence(m, s, kind, x, y) == expected
+
+
+def _one_class(m):
+    """``m`` with its worlds in one nomic class."""
+    return load_model({**m.to_dict(), "nomic_partition": [list(m.worlds)]})
+
+
+@pytest.mark.parametrize("hidden", [0, 1, 2])
+@pytest.mark.parametrize("max_value", [1, 2])
+def test_direct_search_matches_pair_oracle(max_value, hidden):
+    # one class of up to 24 worlds with values in range(max_value): rows
+    # repeat, and many pairs agree outside x | y, so agreement is tested
+    # first on large groups; x and y range over every subset, empty included
+    for seed in range(40):
+        m = _one_class(random_model(GenParams(
+            min_worlds=12, max_worlds=24, num_named=3, num_hidden=hidden,
+            max_value=max_value, seed=seed)))
+        subsets = all_subsets(m.named_variables)
+        for x in subsets:
+            for y in subsets:
+                for kind in (GLOBAL, LOCAL):
+                    answers = {}
+                    for s in m.worlds:
+                        anchor = m._anchor(s, kind)
+                        if anchor not in answers:
+                            answers[anchor] = pair_search_oracle(m, s, kind, x, y)
+                        assert dep_holds_direct(m, s, kind, x, y) == answers[anchor]
+
+
+@pytest.mark.parametrize("with_pair", [True, False])
+def test_direct_search_finds_the_one_agreeing_pair(with_pair):
+    # 400 worlds in one class, with distinct values of z, outside x | y,
+    # except that the last two share one and differ on x and on y; without
+    # those two, no pair agrees outside x | y
+    n = 400 if with_pair else 398
+    zs = list(range(398)) + [398, 398]
+    m = load_model({
+        "propositions": [],
+        "variables": [{"name": v, "hidden": False} for v in ("x", "y", "z")]
+                     + [{"name": "h", "hidden": True}],
+        "worlds": [{"id": f"w{i}", "props": {},
+                    "vals": {"x": i % 2, "y": i % 2, "z": zs[i], "h": 0}}
+                   for i in range(n)],
+        "epistemic_partition": [[f"w{i}" for i in range(n)]],
+        "nomic_partition": [[f"w{i}" for i in range(n)]]})
+    x, y = vs("x"), vs("y")
+    total = pair_search_oracle(m, "w0", GLOBAL, x, y)
+    assert total is with_pair
+    for s in m.worlds:
+        assert dep_holds_direct(m, s, GLOBAL, x, y) is total
+        local = pair_search_oracle(m, s, LOCAL, x, y)
+        assert local is (with_pair and s in ("w398", "w399"))
+        assert dep_holds_direct(m, s, LOCAL, x, y) is local
 
 
 # ---------------------------------------------------------------------------
