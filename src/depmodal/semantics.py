@@ -110,12 +110,13 @@ def _eval(m: KripkeModel, s: str, f: Formula, holds, boxes: dict) -> bool:
     keeps every node alive, so ids cannot be reused.
 
     The hot walks (this one, ``check_names`` and
-    ``syntax.collect_dep_atoms``) dispatch on the node's exact type, most
-    frequent node first, not with ``match``.  Under CPython 3.11 a ``match``
-    on class patterns takes 0.4 to 0.9 µs to reach a node's case; the chain
-    of ``is`` tests takes about 0.1 µs.  So a node class they do not list,
-    a subclass included, is not a formula to them.  The box case is inlined
-    so that nesting costs no more stack per level than plain recursion."""
+    ``syntax.collect_dep_atoms``) and the renderer dispatch on the node's
+    exact type, most frequent node first, not with ``match``.  Under CPython
+    3.11 a ``match`` on class patterns takes 0.4 to 0.9 µs to reach a node's
+    case; the chain of ``is`` tests takes about 0.1 µs.  So a node class they
+    do not list, a subclass included, is not a formula to them.  The box case
+    is inlined so that nesting costs no more stack per level than plain
+    recursion."""
     t = type(f)
     if t is And:
         return _eval(m, s, f.left, holds, boxes) and _eval(m, s, f.right, holds, boxes)

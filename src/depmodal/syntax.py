@@ -2,8 +2,7 @@
 
 Concrete grammar (whitespace-insensitive; reserved words: top, bot, K, A, Dg, Dl):
 
-    formula := impl
-    impl    := or ("->" impl)?
+    formula := or ("->" formula)?
     or      := and ("|" and)*
     and     := unary ("&" unary)*
     unary   := ("!" | "K" | "A") unary | atom
@@ -13,7 +12,9 @@ Concrete grammar (whitespace-insensitive; reserved words: top, bot, K, A, Dg, Dl
     IDENT   := [A-Za-z_][A-Za-z0-9_]*
 
 A bare IDENT in varset position is the singleton shorthand: ``Dg(x;y)`` means
-``Dg({x};{y})``.
+``Dg({x};{y})``.  The parser reads this grammar from two tables, the prefix
+connectives and the binary ones with their binding strengths, by precedence
+climbing; the renderer reads the prefix table in reverse.
 
 "->", "|" and "bot" are surface syntax only; they desugar at parse time, so
 the core AST has exactly one minimal constructor set and semantic code covers
@@ -149,149 +150,118 @@ def _check_kind(kind: str) -> None:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_PUNCT = {"(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
-          ";": "SEMI", ",": "COMMA", "&": "AND", "|": "OR", "!": "NOT"}
+# Group 1 is a token: "->", a punctuation mark or an IDENT.  Tokens are ASCII,
+# so ``str.isidentifier`` holds for IDENTs alone.  Group 2 is any other
+# character outside whitespace.
+_TOKEN_RE = re.compile(rf"(->|[(){{}};,&|!]|{IDENT_RE.pattern})|(\S)")
+
+# the binary connectives: binding strength (loosest 1), whether a chain of
+# them nests to the right, and the node builder
+_BINARY = {"->": (1, True, implies), "|": (2, False, disj), "&": (3, False, And)}
+_PREFIX = {"!": Not, "K": Know, "A": All}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """Each token's text and position, then ``""`` at the end of input."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(("ARROW", "->", i))
-            i += 2
-        elif c in _PUNCT:
-            tokens.append((_PUNCT[c], c, i))
-            i += 1
-        elif ident := IDENT_RE.match(text, i):
-            tokens.append(("IDENT", ident[0], i))
-            i = ident.end()
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("EOF", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        if m[2] is not None:
+            raise ParseError(f"unexpected character {m[2]!r}", m.start())
+        tokens.append((m[1], m.start()))
+    tokens.append(("", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.at = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def fail(self, what: str):
+        text, pos = self.tokens[self.at]
+        found = repr(text) if text else "end of input"
+        raise ParseError(f"expected {what}, found {found}", pos)
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            found = "end of input" if tok[0] == "EOF" else repr(tok[1])
-            raise ParseError(f"expected {what}, found {found}", tok[2])
-        return self.next()
+    def expect(self, tok: str) -> None:
+        if self.tokens[self.at][0] != tok:
+            self.fail(repr(tok))
+        self.at += 1
 
     def done(self) -> None:
-        tok = self.peek()
-        if tok[0] != "EOF":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        text, pos = self.tokens[self.at]
+        if text:
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
 
-    # formula := impl ; impl := or ("->" impl)?
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "ARROW":
-            self.next()
-            return implies(left, self.formula())
-        return left
-
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while self.peek()[0] == "OR":
-            self.next()
-            out = disj(out, self.conjunction())
-        return out
-
-    def conjunction(self) -> Formula:
+    def formula(self, loosest: int = 1) -> Formula:
+        # precedence climbing over the connectives binding at least as tightly
+        # as ``loosest``
         out = self.unary()
-        while self.peek()[0] == "AND":
-            self.next()
-            out = And(out, self.unary())
+        while (op := _BINARY.get(self.tokens[self.at][0])) and op[0] >= loosest:
+            strength, nests_right, build = op
+            self.at += 1
+            out = build(out, self.formula(strength if nests_right else strength + 1))
         return out
 
     def unary(self) -> Formula:
-        kind, text, _ = self.peek()
-        if kind == "NOT":
-            self.next()
-            return Not(self.unary())
-        if kind == "IDENT" and text == "K":
-            self.next()
-            return Know(self.unary())
-        if kind == "IDENT" and text == "A":
-            self.next()
-            return All(self.unary())
-        return self.atom()
+        wraps = []
+        while (wrap := _PREFIX.get(self.tokens[self.at][0])) is not None:
+            wraps.append(wrap)
+            self.at += 1
+        out = self.atom()
+        for wrap in reversed(wraps):
+            out = wrap(out)
+        return out
 
     def atom(self) -> Formula:
-        kind, text, pos = self.peek()
-        if kind == "LPAREN":
-            self.next()
+        text = self.tokens[self.at][0]
+        if text == "(":
+            self.at += 1
             inner = self.formula()
-            self.expect("RPAREN", "')'")
+            self.expect(")")
             return inner
-        if kind == "IDENT":
-            if text == "top":
-                self.next()
-                return TOP
-            if text == "bot":
-                self.next()
-                return BOT
-            if text in ("Dg", "Dl"):
-                self.next()
-                self.expect("LPAREN", "'('")
-                x = self.varset()
-                self.expect("SEMI", "';'")
-                y = self.varset()
-                self.expect("RPAREN", "')'")
-                return DepG(x, y) if text == "Dg" else DepL(x, y)
-            if text in RESERVED:
-                raise ParseError(f"reserved word {text!r} cannot be used here", pos)
-            self.next()
+        if not text.isidentifier():
+            self.fail("a formula")
+        self.at += 1
+        if text == "top":
+            return TOP
+        if text == "bot":
+            return BOT
+        if text != "Dg" and text != "Dl":
             return Prop(text)
-        found = "end of input" if kind == "EOF" else repr(text)
-        raise ParseError(f"expected a formula, found {found}", pos)
+        self.expect("(")
+        x = self.varset()
+        self.expect(";")
+        y = self.varset()
+        self.expect(")")
+        return DepG(x, y) if text == "Dg" else DepL(x, y)
 
     def varset(self) -> VarSet:
-        kind, text, pos = self.peek()
-        if kind == "IDENT":
-            self.ident("variable name")
-            return frozenset({text})
-        self.expect("LBRACE", "'{' or a variable name")
+        text = self.tokens[self.at][0]
+        if text.isidentifier():
+            return frozenset({self.ident()[0]})
+        if text != "{":
+            self.fail("'{' or a variable name")
+        self.at += 1
         names: set[str] = set()
-        if self.peek()[0] == "RBRACE":
-            self.next()
-            return frozenset()
-        while True:
-            _, name, npos = self.ident("variable name")
+        while self.tokens[self.at][0] != "}":
+            if names:
+                if self.tokens[self.at][0] != ",":
+                    self.fail("'}' or ','")
+                self.at += 1
+            name, pos = self.ident()
             if name in names:
-                raise ParseError(f"duplicate variable {name!r} in set", npos)
+                raise ParseError(f"duplicate variable {name!r} in set", pos)
             names.add(name)
-            kind, _, _ = self.peek()
-            if kind == "COMMA":
-                self.next()
-                continue
-            self.expect("RBRACE", "'}' or ','")
-            return frozenset(names)
+        self.at += 1
+        return frozenset(names)
 
-    def ident(self, what: str) -> tuple[str, str, int]:
-        tok = self.expect("IDENT", what)
-        if tok[1] in RESERVED:
-            raise ParseError(f"reserved word {tok[1]!r} cannot be used as {what}", tok[2])
+    def ident(self) -> tuple[str, int]:
+        text, pos = tok = self.tokens[self.at]
+        if not text.isidentifier():
+            self.fail("variable name")
+        if text in RESERVED:
+            raise ParseError(f"reserved word {text!r} cannot be used as variable name", pos)
+        self.at += 1
         return tok
 
 
@@ -303,7 +273,7 @@ def parse_formula(text: str) -> Formula:
     try:
         out = p.formula()
     except RecursionError:
-        raise ParseError("formula nested too deeply", p.peek()[2]) from None
+        raise ParseError("formula nested too deeply", p.tokens[p.at][1]) from None
     p.done()
     return out
 
@@ -320,41 +290,39 @@ def parse_varset(text: str) -> VarSet:
 # Renderer
 # ---------------------------------------------------------------------------
 
+# the prefix table read in reverse; a space keeps K and A off a following IDENT
+_PREFIX_TEXT = {node: text if text == "!" else text + " " for text, node in _PREFIX.items()}
+
+
 def render_formula(f: Formula) -> str:
     """Concrete syntax for ``f``; ``parse_formula`` round-trips it exactly."""
     return _render_chain(f)
 
 
 def _render_chain(f: Formula) -> str:
-    if isinstance(f, And):
-        return _render_chain(f.left) + " & " + _render_unary(f.right)
-    return _render_unary(f)
+    """``f`` as a chain of ``&`` whose right operands are unary."""
+    parts = []
+    while type(f) is And:
+        parts.append(_render_unary(f.right))
+        f = f.left
+    parts.append(_render_unary(f))
+    return " & ".join(reversed(parts))
 
 
 def _render_unary(f: Formula) -> str:
-    match f:
-        case Not(g):
-            return "!" + _render_unary(g)
-        case Know(g):
-            return "K " + _render_unary(g)
-        case All(g):
-            return "A " + _render_unary(g)
-        case _:
-            return _render_atom(f)
-
-
-def _render_atom(f: Formula) -> str:
-    match f:
-        case Top():
-            return "top"
-        case Prop(name):
-            return name
-        case DepG(x, y):
-            return f"Dg({render_varset(x)};{render_varset(y)})"
-        case DepL(x, y):
-            return f"Dl({render_varset(x)};{render_varset(y)})"
-        case _:
-            return "(" + _render_chain(f) + ")"
+    prefix = ""
+    while (text := _PREFIX_TEXT.get(type(f))) is not None:
+        prefix += text
+        f = f.operand
+    t = type(f)
+    if t is DepG or t is DepL:
+        kind = "Dg" if t is DepG else "Dl"
+        return f"{prefix}{kind}({render_varset(f.left)};{render_varset(f.right)})"
+    if t is Prop:
+        return prefix + f.name
+    if t is Top:
+        return prefix + "top"
+    return prefix + "(" + _render_chain(f) + ")"
 
 
 def render_varset(s: VarSet) -> str:

@@ -11,15 +11,18 @@ evaluated by plain recursion with no memo of box values, reading each
 world's cells off the public partitions.  Difference sets and the agreement
 conditions of the dependency clauses are read pair by pair from the model's
 assignment.  ``pair_search_oracle`` answers a dependency atom by testing
-the three conditions of its clause on every candidate pair of rows, with no
-grouping by the values outside the argument sets.  ``are_bisimilar`` reads
-one pair off the greatest bisimulation.  ``soundness_oracle`` is the
+the three conditions of its clause on every candidate pair of worlds, with
+no grouping by the values outside the argument sets.  ``are_bisimilar``
+reads one pair off the greatest bisimulation.  ``soundness_oracle`` is the
 soundness suite's per-world loop: it asks both dependency routes at every
 world through their memoized entry points and evaluates each instance with
-``extension``.
+``extension``.  ``descent_parse_oracle`` and ``render_oracle`` are the
+formula syntax by recursive descent, one method per precedence level, and
+by three mutually recursive render functions.
 """
 
 import itertools
+import operator
 import random
 import time
 from dataclasses import replace
@@ -28,13 +31,14 @@ from depmodal import dependency, semantics
 from depmodal.bisim import greatest_bisimulation
 from depmodal.dependency import (EvidenceFamily, generative_family, is_evidence,
                                  p_family)
-from depmodal.errors import EvalError
+from depmodal.errors import EvalError, ParseError
 from depmodal.harness import (ROUTE_CHECK, Counterexample, SoundnessReport,
                               draw_instances, instantiate, random_model,
                               schema_names)
-from depmodal.syntax import (GLOBAL, LOCAL, All, And, DepG, DepL, Know, Not,
-                             Prop, Top, VarSet, collect_dep_atoms, dep_atom,
-                             render_formula)
+from depmodal.syntax import (BOT, GLOBAL, IDENT_RE, LOCAL, RESERVED, TOP, All,
+                             And, DepG, DepL, Formula, Know, Not, Prop, Top,
+                             VarSet, collect_dep_atoms, dep_atom, disj, implies,
+                             render_formula, render_varset)
 
 
 def cover_oracle(p: EvidenceFamily, w: frozenset) -> bool:
@@ -208,24 +212,30 @@ def agree_outside(m, u, v, xy) -> bool:
 
 
 def pair_search_oracle(m, s, kind, x, y) -> bool:
-    """Dependency-atom truth at ``s`` by testing every candidate pair of rows
-    of the nomic class: each unordered pair for the global kind, each row
-    against the row of ``s`` for the local kind."""
-    cls = m.nomic_class(s)
+    """Dependency-atom truth at ``s`` by testing every candidate pair of
+    worlds of the nomic class: each unordered pair for the global kind, each
+    world against ``s`` for the local kind.  Each world's values on ``x``, on
+    ``y`` and outside ``x | y`` are read from the model's assignment once."""
+    cls = _cell(m.nomic_partition, s)
     if not (x and y) or len(cls) < 2:
         # an empty side never differs, and a lone world has no partner
         return False
-    on_x, on_y, off_xy = semantics._projections(m, x, y)
-    rows = [m._row[t] for t in cls]
+    outside = [v for v in m.named_variables + m.hidden_variables
+               if v not in x and v not in y]
+    on_x, on_y = operator.itemgetter(*x), operator.itemgetter(*y)
+    off_xy = operator.itemgetter(*outside) if outside else (lambda values: ())
+    rows = {}
+    for t in cls:
+        values = _values(m, t)
+        rows[t] = (on_x(values), on_y(values), off_xy(values))
     if kind == GLOBAL:
         # the conditions are symmetric in (u, v) and fail on (u, u)
-        pairs = itertools.combinations(rows, 2)
+        pairs = itertools.combinations(rows.values(), 2)
     else:
-        own = m._row[s]
-        pairs = ((t, own) for t in rows)
-    for u, v in pairs:
+        pairs = ((row, rows[s]) for row in rows.values())
+    for (ux, uy, u_off), (vx, vy, v_off) in pairs:
         # differ somewhere in x, somewhere in y, and agree outside x | y
-        if on_x(u) != on_x(v) and on_y(u) != on_y(v) and off_xy(u) == off_xy(v):
+        if ux != vx and uy != vy and u_off == v_off:
             return True
     return False
 
@@ -292,3 +302,206 @@ def soundness_oracle(params, trials: int) -> SoundnessReport:
                                        s))
     report.elapsed = time.perf_counter() - t0
     return report
+
+
+# The formula syntax without the syntax module's connective tables: a
+# tokenizer that scans character by character, a recursive-descent parser with
+# one method per precedence level, and three mutually recursive render
+# functions.
+
+_PUNCT = {"(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
+          ";": "SEMI", ",": "COMMA", "&": "AND", "|": "OR", "!": "NOT"}
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if text.startswith("->", i):
+            tokens.append(("ARROW", "->", i))
+            i += 2
+        elif c in _PUNCT:
+            tokens.append((_PUNCT[c], c, i))
+            i += 1
+        elif ident := IDENT_RE.match(text, i):
+            tokens.append(("IDENT", ident[0], i))
+            i = ident.end()
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("EOF", "", n))
+    return tokens
+
+
+class _DescentParser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != "EOF":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok[0] != kind:
+            found = "end of input" if tok[0] == "EOF" else repr(tok[1])
+            raise ParseError(f"expected {what}, found {found}", tok[2])
+        return self.next()
+
+    def done(self) -> None:
+        tok = self.peek()
+        if tok[0] != "EOF":
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+
+    # formula := impl ; impl := or ("->" impl)?
+    def formula(self) -> Formula:
+        left = self.disjunction()
+        if self.peek()[0] == "ARROW":
+            self.next()
+            return implies(left, self.formula())
+        return left
+
+    def disjunction(self) -> Formula:
+        out = self.conjunction()
+        while self.peek()[0] == "OR":
+            self.next()
+            out = disj(out, self.conjunction())
+        return out
+
+    def conjunction(self) -> Formula:
+        out = self.unary()
+        while self.peek()[0] == "AND":
+            self.next()
+            out = And(out, self.unary())
+        return out
+
+    def unary(self) -> Formula:
+        kind, text, _ = self.peek()
+        if kind == "NOT":
+            self.next()
+            return Not(self.unary())
+        if kind == "IDENT" and text == "K":
+            self.next()
+            return Know(self.unary())
+        if kind == "IDENT" and text == "A":
+            self.next()
+            return All(self.unary())
+        return self.atom()
+
+    def atom(self) -> Formula:
+        kind, text, pos = self.peek()
+        if kind == "LPAREN":
+            self.next()
+            inner = self.formula()
+            self.expect("RPAREN", "')'")
+            return inner
+        if kind == "IDENT":
+            if text == "top":
+                self.next()
+                return TOP
+            if text == "bot":
+                self.next()
+                return BOT
+            if text in ("Dg", "Dl"):
+                self.next()
+                self.expect("LPAREN", "'('")
+                x = self.varset()
+                self.expect("SEMI", "';'")
+                y = self.varset()
+                self.expect("RPAREN", "')'")
+                return DepG(x, y) if text == "Dg" else DepL(x, y)
+            if text in RESERVED:
+                raise ParseError(f"reserved word {text!r} cannot be used here", pos)
+            self.next()
+            return Prop(text)
+        found = "end of input" if kind == "EOF" else repr(text)
+        raise ParseError(f"expected a formula, found {found}", pos)
+
+    def varset(self) -> VarSet:
+        kind, text, pos = self.peek()
+        if kind == "IDENT":
+            self.ident("variable name")
+            return frozenset({text})
+        self.expect("LBRACE", "'{' or a variable name")
+        names: set[str] = set()
+        if self.peek()[0] == "RBRACE":
+            self.next()
+            return frozenset()
+        while True:
+            _, name, npos = self.ident("variable name")
+            if name in names:
+                raise ParseError(f"duplicate variable {name!r} in set", npos)
+            names.add(name)
+            kind, _, _ = self.peek()
+            if kind == "COMMA":
+                self.next()
+                continue
+            self.expect("RBRACE", "'}' or ','")
+            return frozenset(names)
+
+    def ident(self, what: str) -> tuple[str, str, int]:
+        tok = self.expect("IDENT", what)
+        if tok[1] in RESERVED:
+            raise ParseError(f"reserved word {tok[1]!r} cannot be used as {what}", tok[2])
+        return tok
+
+
+def descent_parse_oracle(text: str, start: str = "formula"):
+    """``parse_formula`` (or, with ``start="varset"``, ``parse_varset``) by
+    recursive descent."""
+    p = _DescentParser(text)
+    if start == "varset":
+        out = p.varset()
+    else:
+        try:
+            out = p.formula()
+        except RecursionError:
+            raise ParseError("formula nested too deeply", p.peek()[2]) from None
+    p.done()
+    return out
+
+
+def render_oracle(f: Formula) -> str:
+    """``render_formula`` by three mutually recursive functions."""
+    return _render_chain(f)
+
+
+def _render_chain(f: Formula) -> str:
+    if isinstance(f, And):
+        return _render_chain(f.left) + " & " + _render_unary(f.right)
+    return _render_unary(f)
+
+
+def _render_unary(f: Formula) -> str:
+    match f:
+        case Not(g):
+            return "!" + _render_unary(g)
+        case Know(g):
+            return "K " + _render_unary(g)
+        case All(g):
+            return "A " + _render_unary(g)
+        case _:
+            return _render_atom(f)
+
+
+def _render_atom(f: Formula) -> str:
+    match f:
+        case Top():
+            return "top"
+        case Prop(name):
+            return name
+        case DepG(x, y):
+            return f"Dg({render_varset(x)};{render_varset(y)})"
+        case DepL(x, y):
+            return f"Dl({render_varset(x)};{render_varset(y)})"
+        case _:
+            return "(" + _render_chain(f) + ")"

@@ -106,17 +106,17 @@ class TestCheck:
                        f"(at position {position})\n")
 
 
-# Around each shape's largest nesting that `check` answered before deep
-# formulas were reported as syntax errors: K 328, ! 984, & 985, | 166,
-# -> 199, parentheses 197 (open_door, fresh stack, default recursion limit).
+# Past each shape's largest nesting that `check` answers: K 328, ! 985,
+# & 986, | 329, -> 330, parentheses 329 (open_door, fresh stack, default
+# recursion limit; `extension` answers one or two levels less).
 _ATOM = "Dg({bar_p};{bar_r})"
 _TOO_DEEP = {
     "K": "K " * 340 + _ATOM,
     "not": "!" * 1000 + _ATOM,
     "and": " & ".join([_ATOM] * 1000),
-    "or": " | ".join([_ATOM] * 175),
-    "implies": " -> ".join([_ATOM] * 210),
-    "parens": "(" * 210 + _ATOM + ")" * 210,
+    "or": " | ".join([_ATOM] * 350),
+    "implies": " -> ".join([_ATOM] * 350),
+    "parens": "(" * 350 + _ATOM + ")" * 350,
 }
 
 
@@ -131,8 +131,13 @@ class TestDeepFormulas:
         assert out == ""
         assert err.startswith("syntax error: formula nested too deeply (at position ")
 
-    @pytest.mark.parametrize("text", ["K " * 250 + _ATOM, " | ".join([_ATOM] * 160)],
-                             ids=["K250", "or160"])
+    @pytest.mark.parametrize("text", [
+        "K " * 250 + _ATOM,
+        " | ".join([_ATOM] * 160),
+        " | ".join([_ATOM] * 175),
+        " -> ".join([_ATOM] * 210),
+        "(" * 210 + _ATOM + ")" * 210,
+    ], ids=["K250", "or160", "or175", "implies210", "parens210"])
     def test_deep_but_answerable(self, capsys, text):
         code, out, _ = run_on_fresh_stack(capsys, "check", fixture_path("open_door"),
                                           "s", text)

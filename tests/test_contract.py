@@ -1,9 +1,12 @@
 """The input contract, fuzzed: whatever text or document comes in, the CLI
-ends with a documented exit code and never with an internal error, and the
-renderer's output parses back to the same formula."""
+ends with a documented exit code and never with an internal error, the
+renderer's output parses back to the same formula, the parser and renderer
+answer as the recursive-descent oracles do, and the parser and the model
+loader accept the same identifiers."""
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import random
@@ -13,9 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depmodal.cli import main
+from depmodal.errors import ModelError, ParseError
 from depmodal.fixtures import fixture_path
 from depmodal.harness import GenParams, random_formula, random_model
-from depmodal.syntax import parse_formula, render_formula
+from depmodal.model import KripkeModel
+from depmodal.syntax import (And, DepG, DepL, Know, Not, Prop, conj_all,
+                             parse_formula, parse_varset, render_formula)
+
+from oracles import descent_parse_oracle, render_oracle
 
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -35,8 +43,9 @@ _PIECES = ["K ", "A ", "!", " & ", " | ", " -> ", "(", ")", "{", "}", ";", ",",
            " ", "Dg", "Dl", "top", "bot", "p", "q", "bar_p", "bar_r", "ghost",
            "_", "9", "é", "²", "-", ">"]
 
-_ATOMS = st.sampled_from(["top", "bot", "p", "q", "ghost", "Dg(bar_p;bar_r)",
-                          "Dl({bar_p,bar_q};{})", "Dg({ghost};bar_p)"])
+_ATOM_TEXTS = ["top", "bot", "p", "q", "ghost", "Dg(bar_p;bar_r)",
+               "Dl({bar_p,bar_q};{})", "Dg({ghost};bar_p)"]
+_ATOMS = st.sampled_from(_ATOM_TEXTS)
 well_formed = st.recursive(_ATOMS, lambda sub: st.one_of(
     st.tuples(st.sampled_from(["!", "K ", "A "]), sub).map("".join),
     st.tuples(sub, st.sampled_from([" & ", " | ", " -> "]), sub).map(
@@ -130,3 +139,82 @@ def test_render_then_parse_is_identity(seed, depth):
     m = random_model(GenParams(seed=seed))
     f = random_formula(random.Random(seed), m, depth)
     assert parse_formula(render_formula(f)) == f
+
+
+def _outcome(parse, text):
+    """The parsed value, or the syntax error's text and position."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e), e.position
+
+
+def _assert_parsers_agree(text):
+    for start, parse in (("formula", parse_formula), ("varset", parse_varset)):
+        want = _outcome(lambda t: descent_parse_oracle(t, start), text)
+        if isinstance(want, tuple) and want[0].startswith("formula nested too deeply"):
+            continue                # the oracle ran out of stack; the parser may not
+        assert _outcome(parse, text) == want, (start, text)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(text=formula_text)
+def test_parser_matches_descent_oracle(text):
+    _assert_parsers_agree(text)
+
+
+def _seeded_text(rng, depth=4):
+    """Formula text that drops brackets at random, so that chains of one
+    connective and mixed precedence levels occur."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_ATOM_TEXTS)
+    if rng.random() < 0.3:
+        return rng.choice(["!", "K ", "A "]) + _seeded_text(rng, depth - 1)
+    text = rng.choice([" & ", " | ", " -> "]).join(
+        _seeded_text(rng, depth - 1) for _ in range(2))
+    return f"({text})" if rng.random() < 0.3 else text
+
+
+def test_parser_matches_descent_oracle_on_seeded_token_strings():
+    # 30,000 strings: random pieces, formula texts, and formula texts with a
+    # random piece written over up to three characters
+    rng = random.Random(19)
+    for _ in range(10000):
+        _assert_parsers_agree("".join(rng.choices(_PIECES, k=rng.randint(0, 30))))
+        text = _seeded_text(rng)
+        _assert_parsers_agree(text)
+        i = rng.randrange(len(text) + 1)
+        _assert_parsers_agree(text[:i] + rng.choice(_PIECES) + text[i + rng.randint(0, 3):])
+
+
+def test_renderer_matches_render_oracle():
+    for seed in range(2000):
+        m = random_model(GenParams(seed=seed % 50))
+        f = random_formula(random.Random(seed), m, seed % 6)
+        assert render_formula(f) == render_oracle(f), seed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 300])
+def test_renderer_matches_render_oracle_on_and_chains(n):
+    atoms = [Prop("p"), Not(DepG(frozenset({"x", "y"}), frozenset())),
+             Know(DepL(frozenset({"z"}), frozenset({"x"})))]
+    items = [atoms[i % 3] for i in range(n)]
+    # bracketed right operands cost the oracle three frames a level
+    right_nested = functools.reduce(lambda rest, f: And(f, rest), reversed(items[:60]))
+    for f in (conj_all(items), Not(conj_all(items)), right_nested,
+              conj_all([And(items[0], items[-1])] * n)):
+        assert render_formula(f) == render_oracle(f)
+
+
+@pytest.mark.parametrize("name", ["_", "a1", "x_y", "1a", "x\u00b2", "\u00e9", "Dg", "K"])
+def test_parser_and_loader_accept_the_same_identifiers(name):
+    doc = {"propositions": [name], "variables": [],
+           "worlds": [{"id": "w", "props": {name: 0}, "vals": {}}],
+           "epistemic_partition": [["w"]], "nomic_partition": [["w"]]}
+    try:
+        KripkeModel(doc)
+        loads = True
+    except ModelError:
+        loads = False
+    assert loads == (_outcome(parse_formula, name) == Prop(name))
+
