@@ -5,10 +5,10 @@ formulas, and a semantic soundness harness for the axiom schemas."""
 
 from .errors import EvalError, ModelError, ParseError
 from .syntax import (BOT, GLOBAL, KINDS, LOCAL, TOP, All, And, DepG, DepL,
-                     Formula, Know, Not, Prop, Top, VarSet, collect_dep_atoms,
-                     conj_all, dep_atom, disj, disj_all, iff, implies,
-                     mutual_dependence, parse_formula, parse_varset,
-                     proper_subsets, render_formula, render_varset)
+                     Formula, Know, Not, Prop, Top, VarSet, conj_all, dep_atom,
+                     disj, disj_all, iff, implies, mutual_dependence,
+                     parse_formula, parse_varset, proper_subsets,
+                     render_formula, render_varset)
 from .model import KripkeModel, load_model, load_model_path
 from .semantics import (check_names, dep_holds_direct, evaluate,
                         evaluate_by_evidence, extension, extension_by_evidence)

@@ -7,10 +7,13 @@ evaluation routes on every dependency atom occurring in the drawn instances,
 so a corrupted evaluator surfaces as counterexamples even when it happens to
 leave every schema valid.  Counterexamples carry their reproduction seed.
 
-An atom's answer depends only on its anchor (``KripkeModel._anchor``), so
-the suite asks each route once per atom and anchor and reads the answer at
-every world of the anchor; validity and route agreement are then checked on
-the atoms' world sets.
+Each trial is one bottom-up pass over its instances on int bitmasks of
+worlds: each distinct node is evaluated once, so a subtree shared by both
+sides of a biconditional costs one visit, and the pass finds the dependency
+atoms in the same walk.  An atom's answer depends only on its anchor
+(``KripkeModel._anchor``), so the pass asks each route once per atom and
+anchor and sets the answer at every world of the anchor; validity and route
+agreement are then read off the masks.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass, field, replace
 
 from . import dependency, semantics
 from .model import KripkeModel
-from .syntax import (BOT, KINDS, LOCAL, TOP, All, And, DepG, Formula, Know,
-                     Not, Prop, VarSet, collect_dep_atoms, dep_atom, disj,
+from .syntax import (BOT, GLOBAL, KINDS, LOCAL, TOP, All, And, DepG, DepL,
+                     Formula, Know, Not, Prop, Top, VarSet, dep_atom, disj,
                      disj_all, iff, implies, mutual_dependence, proper_subsets,
                      render_formula, render_varset)
 
@@ -305,15 +308,18 @@ def soundness_suite(params: GenParams, trials: int) -> SoundnessReport:
     validity on each, and cross-check the two dependency routes on every atom
     the instances mention.  Counterexamples are report content, not errors.
 
-    Each route is asked once per atom and anchor, at the anchor's first world
-    in model order: the direct route through ``semantics.dep_holds_direct``,
-    the evidence route straight from the anchor's difference family, which
-    is read once per anchor and serves every atom of its kind.  The
-    answer stands for every world of the anchor, which is the rule the
-    per-model memo already keys both routes by; a replaced direct route
-    whose answer varies inside one anchor is read at the anchor's first
-    world only.  Validity is decided by the evaluator with atoms read off
-    the direct route's world sets, and a disagreement is reported at each
+    Each trial is one bottom-up pass over the instances on world bitmasks
+    (``_WorldSets``): each distinct node is evaluated once, and the atoms are
+    found in the same walk.  Each route is asked once per atom and anchor,
+    at the anchor's first world in model order: the direct route through
+    ``semantics.dep_holds_direct``, the evidence route straight from the
+    anchor's difference family, which is read once per anchor and serves
+    every atom of its kind.  The answer stands for every world of the
+    anchor, which is the rule the per-model memo already keys both routes
+    by; a replaced direct route whose answer varies inside one anchor is
+    read at the anchor's first world only.  Validity is decided with atoms
+    read off the direct route, and an invalid instance is reported at its
+    first false world in model order.  A disagreement is reported at each
     world where the two routes' world sets differ, in model order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -324,55 +330,98 @@ def soundness_suite(params: GenParams, trials: int) -> SoundnessReport:
         seed = params.seed + i
         m = random_model(replace(params, seed=seed))
         rng = random.Random(seed ^ 0x9E3779B9)
+        # ``drawn`` keeps every node alive while the pass keys nodes by id
         drawn = [(inst, instantiate(inst)) for inst in draw_instances(rng, m)]
-        atoms = sorted(set().union(*(collect_dep_atoms(f) for _, f in drawn)),
-                       key=lambda a: (a[0], sorted(a[1]), sorted(a[2])))
-        direct, evidence = _route_extensions(m, atoms)
-
-        def holds(m, s, kind, x, y):
-            return s in direct[kind, x, y]
-
+        sets = _WorldSets(m)
         for inst, f in drawn:
-            ext = semantics._extension(m, f, holds)
-            bad = next((s for s in m.worlds if s not in ext), None)
-            if bad is not None:
+            bad = sets.full ^ sets.mask(f)
+            if bad:
                 report.counterexamples.append(
-                    Counterexample(seed, inst.label(), render_formula(f), bad))
-        for atom in atoms:
+                    Counterexample(seed, inst.label(), render_formula(f),
+                                   m.worlds[(bad & -bad).bit_length() - 1]))
+        for atom in sorted(sets.atoms,
+                           key=lambda a: (a[0], sorted(a[1]), sorted(a[2]))):
             report.atoms_checked += len(m.worlds)
-            d, r = direct[atom], evidence[atom]
-            if d == r:
+            d, r = sets.atoms[atom]
+            differ = d ^ r
+            if not differ:
                 continue
             atom_text = render_formula(dep_atom(*atom))
-            for s in m.worlds:
-                if (s in d) != (s in r):
+            for j, s in enumerate(m.worlds):
+                if differ >> j & 1:
                     report.counterexamples.append(
                         Counterexample(seed, ROUTE_CHECK,
-                                       f"{atom_text} direct={s in d} evidence={s in r}",
-                                       s))
+                                       f"{atom_text} direct={bool(d >> j & 1)} "
+                                       f"evidence={bool(r >> j & 1)}", s))
     report.elapsed = time.perf_counter() - t0
     return report
 
 
-def _route_extensions(m: KripkeModel, atoms) -> tuple[dict, dict]:
-    """Each atom's world set by the direct route and by the evidence route,
-    each route asked once per anchor of the atom's kind.  Each anchor's
-    difference family is read once, with its group of worlds."""
-    groups = {}
-    for kind in KINDS:
-        by_anchor: dict = {}
-        for s in m.worlds:
-            by_anchor.setdefault(m._anchor(s, kind), []).append(s)
-        groups[kind] = [(ws[0], ws, dependency.p_family(m, ws[0], kind))
-                        for ws in by_anchor.values()]
-    direct, evidence = {}, {}
-    for atom in atoms:
-        kind, x, y = atom
-        d = direct[atom] = set()
-        r = evidence[atom] = set()
-        for s, ws, fam in groups[kind]:
-            if semantics.dep_holds_direct(m, s, kind, x, y):
-                d.update(ws)
+class _WorldSets:
+    """World sets of formulas on one model as int bitmasks: bit i stands for
+    world i in model order.  ``mask`` evaluates each distinct node once,
+    keyed by ``id``, so the caller keeps the formulas alive; the first time
+    it meets a dependency atom it asks both routes, once per anchor of the
+    atom's kind, and keeps the atom's direct and evidence masks in
+    ``atoms``.  Every node is walked, so every atom is asked."""
+
+    def __init__(self, m: KripkeModel):
+        self.m = m
+        bit = {w: 1 << i for i, w in enumerate(m.worlds)}
+        self.full = (1 << len(m.worlds)) - 1
+        self.props = {p: sum(bit[w] for w in m.worlds if m.valuation[w][p] == 1)
+                      for p in m.propositions}
+        self.cells = {Know: [sum(map(bit.__getitem__, c)) for c in m.epistemic_partition],
+                      All: [sum(map(bit.__getitem__, c)) for c in m.nomic_partition]}
+        # per kind, each anchor's first world, its worlds and its family
+        self.anchors: dict = {}
+        for kind in KINDS:
+            by_anchor: dict = {}
+            for s in m.worlds:
+                group = by_anchor.setdefault(m._anchor(s, kind), [s, 0])
+                group[1] |= bit[s]
+            self.anchors[kind] = [(s, ws, dependency.p_family(m, s, kind))
+                                  for s, ws in by_anchor.values()]
+        self.atoms: dict = {}
+        self.seen: dict = {}
+
+    def mask(self, f: Formula) -> int:
+        value = self.seen.get(id(f))
+        if value is not None:
+            return value
+        t = type(f)
+        if t is And:
+            value = self.mask(f.left) & self.mask(f.right)
+        elif t is Not:
+            value = self.full ^ self.mask(f.operand)
+        elif t is DepG or t is DepL:
+            atom = (GLOBAL if t is DepG else LOCAL, f.left, f.right)
+            routes = self.atoms.get(atom)
+            if routes is None:
+                routes = self.atoms[atom] = self._ask(*atom)
+            value = routes[0]
+        elif t is Know or t is All:
+            g = self.mask(f.operand)
+            value = 0
+            for c in self.cells[t]:
+                if c & g == c:
+                    value |= c
+        elif t is Prop:
+            value = self.props[f.name]
+        elif t is Top:
+            value = self.full
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        self.seen[id(f)] = value
+        return value
+
+    def _ask(self, kind: str, x: VarSet, y: VarSet) -> tuple[int, int]:
+        """The atom's world sets by the direct and by the evidence route;
+        both routes are looked up at call time, so a replaced one is asked."""
+        direct = evidence = 0
+        for s, ws, fam in self.anchors[kind]:
+            if semantics.dep_holds_direct(self.m, s, kind, x, y):
+                direct |= ws
             if dependency.atom_holds_from_family(fam, x, y):
-                r.update(ws)
-    return direct, evidence
+                evidence |= ws
+        return direct, evidence

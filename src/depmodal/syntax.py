@@ -351,26 +351,6 @@ def modal_depth(f: Formula) -> int:
     return deepest
 
 
-def collect_dep_atoms(f: Formula) -> set[tuple[str, VarSet, VarSet]]:
-    """All dependency atoms occurring in ``f`` as (kind, left, right) triples.
-    Dispatches on exact node type, like the evaluator's walks."""
-    out: set[tuple[str, VarSet, VarSet]] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        t = type(g)
-        if t is And:
-            stack.append(g.left)
-            stack.append(g.right)
-        elif t is Not or t is Know or t is All:
-            stack.append(g.operand)
-        elif t is DepG:
-            out.add((GLOBAL, g.left, g.right))
-        elif t is DepL:
-            out.add((LOCAL, g.left, g.right))
-    return out
-
-
 def proper_subsets(w: VarSet) -> Iterator[VarSet]:
     """Nonempty proper subsets of ``w``, ordered by (size, member names)."""
     names = sorted(w)

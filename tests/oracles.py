@@ -16,9 +16,10 @@ no grouping by the values outside the argument sets.  ``are_bisimilar``
 reads one pair off the greatest bisimulation.  ``soundness_oracle`` is the
 soundness suite's per-world loop: it asks both dependency routes at every
 world through their memoized entry points and evaluates each instance with
-``extension``.  ``descent_parse_oracle`` and ``render_oracle`` are the
-formula syntax by recursive descent, one method per precedence level, and
-by three mutually recursive render functions.
+``extension``, finding its atoms with ``collect_dep_atoms``, a walk of
+the formula tree apart from any evaluation.  ``descent_parse_oracle`` and
+``render_oracle`` are the formula syntax by recursive descent, one method
+per precedence level, and by three mutually recursive render functions.
 """
 
 import itertools
@@ -37,7 +38,7 @@ from depmodal.harness import (ROUTE_CHECK, Counterexample, SoundnessReport,
                               schema_names)
 from depmodal.syntax import (BOT, GLOBAL, IDENT_RE, LOCAL, RESERVED, TOP, All,
                              And, DepG, DepL, Formula, Know, Not, Prop, Top,
-                             VarSet, collect_dep_atoms, dep_atom, disj, implies,
+                             VarSet, dep_atom, disj, implies,
                              render_formula, render_varset)
 
 
@@ -265,6 +266,27 @@ def recursive_eval_oracle(m, s, f, holds) -> bool:
         case DepL(x, y):
             return holds(m, s, LOCAL, x, y)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def collect_dep_atoms(f: Formula) -> set[tuple[str, VarSet, VarSet]]:
+    """All dependency atoms occurring in ``f`` as (kind, left, right) triples,
+    by a walk of the tree apart from any evaluation; the soundness suite finds
+    them in its world-set pass instead."""
+    out: set[tuple[str, VarSet, VarSet]] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is And:
+            stack.append(g.left)
+            stack.append(g.right)
+        elif t is Not or t is Know or t is All:
+            stack.append(g.operand)
+        elif t is DepG:
+            out.add((GLOBAL, g.left, g.right))
+        elif t is DepL:
+            out.add((LOCAL, g.left, g.right))
+    return out
 
 
 def soundness_oracle(params, trials: int) -> SoundnessReport:

@@ -20,7 +20,8 @@ import pytest
 from depmodal import cli
 from depmodal.fixtures import fixture_path
 from depmodal.harness import GenParams, draw_instances, instantiate, random_model
-from depmodal.syntax import collect_dep_atoms
+
+from oracles import collect_dep_atoms
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402

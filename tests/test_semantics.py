@@ -19,11 +19,11 @@ from depmodal.semantics import (dep_holds_direct, evaluate,
                                 evaluate_by_evidence, extension,
                                 extension_by_evidence)
 from depmodal.syntax import (GLOBAL, LOCAL, TOP, All, DepG, DepL, Formula,
-                             Know, Not, Prop, VarSet, collect_dep_atoms,
-                             dep_atom, iff, implies, parse_formula)
+                             Know, Not, Prop, VarSet, dep_atom, iff, implies,
+                             parse_formula)
 
-from oracles import (agree_outside, delta, differs_on, pair_search_oracle,
-                     recursive_eval_oracle)
+from oracles import (agree_outside, collect_dep_atoms, delta, differs_on,
+                     pair_search_oracle, recursive_eval_oracle)
 
 
 def vs(*names):
