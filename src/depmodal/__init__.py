@@ -10,8 +10,7 @@ from .syntax import (BOT, GLOBAL, KINDS, LOCAL, TOP, All, And, DepG, DepL,
                      parse_formula, parse_varset, proper_subsets,
                      render_formula, render_varset)
 from .model import KripkeModel, load_model, load_model_path
-from .semantics import (check_names, dep_holds_direct, evaluate,
-                        evaluate_by_evidence, extension, extension_by_evidence)
+from .semantics import check_names, dep_holds_direct, evaluate, extension
 from .dependency import (EvidenceFamily, atom_holds_from_family,
                          dep_holds_by_evidence, family, generative_family,
                          is_evidence, is_generative, p_family, sigma)

@@ -5,9 +5,11 @@ Commands take their arguments positionally or through flags (``-m/--model``,
 Exit status: 0 for a completed command (a "false" answer is still 0),
 1 when ``examples`` finds a fixture claim that does not hold, 2 for usage
 or malformed input text, 3 for model load/validation errors, 4 for
-evaluation errors such as unknown worlds, undeclared names or a
-distinguishing formula nested too deeply, and 5 for an internal error: the
-two evaluation routes disagree, or any other unexpected exception.
+evaluation errors such as unknown worlds, undeclared names, hidden variables
+named in a formula or candidate, or a distinguishing formula nested too
+deeply, and 5 for an internal error: the two evaluation routes disagree on a
+dependency atom the evaluation asks (the message names the world it was
+asked at), or any other unexpected exception.
 
 The argument parser is built once per process and reused by every ``main``
 call; argparse keeps no state between ``parse_args`` calls.
@@ -28,8 +30,7 @@ from .dependency import (METHODS, generative_family, is_generative, p_family,
 from .errors import EvalError, ModelError, ParseError
 from .harness import GenParams, soundness_suite
 from .model import KripkeModel, load_model_path
-from .semantics import (evaluate, evaluate_by_evidence, extension,
-                        extension_by_evidence)
+from .semantics import evaluate, extension
 from .syntax import (GLOBAL, LOCAL, modal_depth, parse_formula, parse_varset,
                      render_formula, render_varset)
 
@@ -43,10 +44,6 @@ _KIND = {"g": GLOBAL, "l": LOCAL}
 
 
 class _UsageError(Exception):
-    pass
-
-
-class _RouteDisagreement(Exception):
     pass
 
 
@@ -122,25 +119,6 @@ def _require_world(m: KripkeModel, w: str) -> str:
     return w
 
 
-def _agree(s: str, direct: bool, routed: bool) -> bool:
-    if direct != routed:
-        raise _RouteDisagreement(
-            f"evaluation routes disagree at world {s!r}: "
-            f"direct={direct} evidence={routed}")
-    return direct
-
-
-def _both(m: KripkeModel, s: str, f) -> bool:
-    return _agree(s, evaluate(m, s, f), evaluate_by_evidence(m, s, f))
-
-
-def _extension_both(m: KripkeModel, f) -> list[str]:
-    """The satisfying worlds in model order, one pass per route."""
-    direct = extension(m, f)
-    routed = extension_by_evidence(m, f)
-    return [s for s in m.worlds if _agree(s, s in direct, s in routed)]
-
-
 def _too_deep() -> ParseError:
     # a formula can parse and still exhaust the stack when evaluated or rendered
     return ParseError("formula nested too deeply", 0)
@@ -163,7 +141,7 @@ def cmd_check(args) -> int:
     w = _require_world(m, _pick(args.world_pos, args.world_flag, "world"))
     f = parse_formula(_pick(args.formula_pos, args.formula_flag, "formula"))
     try:
-        value = _both(m, w, f)
+        value = evaluate(m, w, f)
         shown = render_formula(f)
     except RecursionError:
         raise _too_deep() from None
@@ -177,7 +155,8 @@ def cmd_extension(args) -> int:
     m = load_model_path(_pick(args.model_pos, args.model_flag, "model path"))
     f = parse_formula(_pick(args.formula_pos, args.formula_flag, "formula"))
     try:
-        sat = _extension_both(m, f)
+        holding = extension(m, f)
+        sat = [s for s in m.worlds if s in holding]
         shown = render_formula(f)
     except RecursionError:
         raise _too_deep() from None
@@ -286,9 +265,9 @@ def cmd_examples(args) -> int:
     for claim in fixtures.fixture_claims(args.name):
         f = parse_formula(claim.formula)
         if claim.world is not None:
-            got_at = {claim.world: _both(m, claim.world, f)}
+            got_at = {claim.world: evaluate(m, claim.world, f)}
         else:
-            sat = set(_extension_both(m, f))
+            sat = extension(m, f)
             got_at = {w: w in sat for w in m.worlds}
         for w, got in got_at.items():
             results.append({"world": w, "formula": claim.formula,

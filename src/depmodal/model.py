@@ -325,8 +325,10 @@ class KripkeModel:
     def _check_named(self, xs: VarSet) -> None:
         if xs <= self._named_set:
             return
-        bad = xs - self._named_set
-        raise EvalError(f"undeclared variable {sorted(bad)[0]!r}")
+        bad = min(xs - self._named_set)
+        if bad in self.hidden_variables:
+            raise EvalError(f"hidden variable {bad!r} cannot be mentioned")
+        raise EvalError(f"undeclared variable {bad!r}")
 
     def _anchor(self, s: str, kind: str) -> frozenset[str] | str:
         """What an answer of ``kind`` at ``s`` depends on: the nomic class for

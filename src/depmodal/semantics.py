@@ -1,4 +1,4 @@
-"""Formula evaluation at pointed models, by two independent routes.
+"""Formula evaluation at pointed models, with both routes asked at each atom.
 
 The direct route reads the truth clauses literally: a global dependency atom
 holds when some pair of worlds in the nomic class agrees everywhere outside
@@ -6,10 +6,12 @@ the two argument sets while differing inside each of them; the local variant
 pins one end of the pair to the evaluation world.  It tests agreement first:
 a world is compared inside the argument sets only with the worlds that share
 its values outside them.  The evidence route answers the same atoms by
-searching the world's difference family instead.  The two routes must agree
-everywhere; the CLI and the soundness harness treat any disagreement as an
-internal error.  Within one call, a ``K`` or ``A`` box is evaluated once per
-cell of its partition and reused at every world of it.
+searching the world's difference family instead.  Every other truth clause
+is the same for both routes, so one walk evaluates a formula and asks both
+routes at each dependency atom it reaches; a disagreement raises
+``AssertionError`` there, which the CLI reports as an internal error.
+Within one call, a ``K`` or ``A`` box is evaluated once per cell of its
+partition and reused at every world of it.
 """
 
 from __future__ import annotations
@@ -103,11 +105,22 @@ def check_names(m: KripkeModel, f: Formula) -> None:
     return None
 
 
-def _eval(m: KripkeModel, s: str, f: Formula, holds, boxes: dict) -> bool:
-    """Truth of ``f`` at ``s``, dependency atoms answered by
-    ``holds(m, s, kind, x, y)``.  ``boxes`` maps ``(id(box), cell)`` to the
-    box's value on that cell; it lives for one call, while the root formula
-    keeps every node alive, so ids cannot be reused.
+def _holds(m: KripkeModel, s: str, kind: str, x: VarSet, y: VarSet) -> bool:
+    """Dependency-atom truth at ``s``, asked of both routes.  Both are looked
+    up at call time, so a patched route is the one asked."""
+    d = dep_holds_direct(m, s, kind, x, y)
+    e = dependency.dep_holds_by_evidence(m, s, kind, x, y)
+    if d != e:
+        raise AssertionError(f"evaluation routes disagree at world {s!r}: "
+                             f"direct={d} evidence={e}")
+    return d
+
+
+def _eval(m: KripkeModel, s: str, f: Formula, boxes: dict) -> bool:
+    """Truth of ``f`` at ``s``, each dependency atom answered by both routes
+    through ``_holds``.  ``boxes`` maps ``(id(box), cell)`` to the box's value
+    on that cell; it lives for one call, while the root formula keeps every
+    node alive, so ids cannot be reused.
 
     The hot walks (this one, ``check_names`` and the soundness suite's
     world-set pass ``harness._WorldSets.mask``) and the renderer dispatch on
@@ -119,13 +132,13 @@ def _eval(m: KripkeModel, s: str, f: Formula, holds, boxes: dict) -> bool:
     than plain recursion."""
     t = type(f)
     if t is And:
-        return _eval(m, s, f.left, holds, boxes) and _eval(m, s, f.right, holds, boxes)
+        return _eval(m, s, f.left, boxes) and _eval(m, s, f.right, boxes)
     if t is Not:
-        return not _eval(m, s, f.operand, holds, boxes)
+        return not _eval(m, s, f.operand, boxes)
     if t is DepG:
-        return holds(m, s, GLOBAL, f.left, f.right)
+        return _holds(m, s, GLOBAL, f.left, f.right)
     if t is DepL:
-        return holds(m, s, LOCAL, f.left, f.right)
+        return _holds(m, s, LOCAL, f.left, f.right)
     if t is Know or t is All:
         # s was validated at entry
         cell = (m._epi_cell if t is Know else m._nomic_cell)[s]
@@ -133,7 +146,7 @@ def _eval(m: KripkeModel, s: str, f: Formula, holds, boxes: dict) -> bool:
         value = boxes.get(key)
         if value is None:
             g = f.operand
-            value = boxes[key] = all(_eval(m, w, g, holds, boxes) for w in cell)
+            value = boxes[key] = all(_eval(m, w, g, boxes) for w in cell)
         return value
     if t is Prop:
         return m.valuation[s][f.name] == 1
@@ -143,33 +156,16 @@ def _eval(m: KripkeModel, s: str, f: Formula, holds, boxes: dict) -> bool:
 
 
 def evaluate(m: KripkeModel, s: str, f: Formula) -> bool:
-    """Truth of ``f`` at world ``s`` by the direct route."""
+    """Truth of ``f`` at world ``s``; raises ``AssertionError`` if the two
+    routes disagree on an atom the evaluation asks."""
     m._world_index(s)
     check_names(m, f)
-    return _eval(m, s, f, dep_holds_direct, {})
-
-
-def evaluate_by_evidence(m: KripkeModel, s: str, f: Formula) -> bool:
-    """Truth of ``f`` at world ``s``, dependency atoms answered from the
-    world's difference families."""
-    m._world_index(s)
-    check_names(m, f)
-    return _eval(m, s, f, dependency.dep_holds_by_evidence, {})
-
-
-def _extension(m: KripkeModel, f: Formula, holds) -> set[str]:
-    check_names(m, f)
-    boxes: dict = {}
-    return {s for s in m.worlds if _eval(m, s, f, holds, boxes)}
+    return _eval(m, s, f, {})
 
 
 def extension(m: KripkeModel, f: Formula) -> set[str]:
-    """The set of worlds satisfying ``f``."""
-    return _extension(m, f, dep_holds_direct)
-
-
-def extension_by_evidence(m: KripkeModel, f: Formula) -> set[str]:
-    """The set of worlds satisfying ``f``, dependency atoms answered from the
-    worlds' difference families."""
-    return _extension(m, f, dependency.dep_holds_by_evidence)
-
+    """The set of worlds satisfying ``f``, evaluated in model order; raises
+    ``AssertionError`` if the two routes disagree on an atom it asks."""
+    check_names(m, f)
+    boxes: dict = {}
+    return {s for s in m.worlds if _eval(m, s, f, boxes)}

@@ -16,10 +16,11 @@ no grouping by the values outside the argument sets.  ``are_bisimilar``
 reads one pair off the greatest bisimulation.  ``soundness_oracle`` is the
 soundness suite's per-world loop: it asks both dependency routes at every
 world through their memoized entry points and evaluates each instance with
-``extension``, finding its atoms with ``collect_dep_atoms``, a walk of
-the formula tree apart from any evaluation.  ``descent_parse_oracle`` and
-``render_oracle`` are the formula syntax by recursive descent, one method
-per precedence level, and by three mutually recursive render functions.
+``recursive_eval_oracle`` by the direct route, finding its atoms with
+``collect_dep_atoms``, a walk of the formula tree apart from any evaluation.
+``descent_parse_oracle`` and ``render_oracle`` are the formula syntax by
+recursive descent, one method per precedence level, and by three mutually
+recursive render functions.
 """
 
 import itertools
@@ -291,8 +292,8 @@ def collect_dep_atoms(f: Formula) -> set[tuple[str, VarSet, VarSet]]:
 
 def soundness_oracle(params, trials: int) -> SoundnessReport:
     """``harness.soundness_suite`` as a loop over worlds: each instance is
-    checked with ``semantics.extension``, and both routes are asked for every
-    atom at every world."""
+    checked with ``recursive_eval_oracle`` by the direct route, and both
+    routes are asked for every atom at every world."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
@@ -306,8 +307,8 @@ def soundness_oracle(params, trials: int) -> SoundnessReport:
         for inst in draw_instances(rng, m):
             f = instantiate(inst)
             atoms |= collect_dep_atoms(f)
-            ext = semantics.extension(m, f)
-            bad = next((s for s in m.worlds if s not in ext), None)
+            bad = next((s for s in m.worlds if not recursive_eval_oracle(
+                m, s, f, semantics.dep_holds_direct)), None)
             if bad is not None:
                 report.counterexamples.append(
                     Counterexample(seed, inst.label(), render_formula(f), bad))

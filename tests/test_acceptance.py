@@ -17,12 +17,12 @@ from depmodal.dependency import (METHODS, dep_holds_by_evidence,
                                  generative_family, is_generative, p_family)
 from depmodal.harness import GenParams, random_model, soundness_suite, ROUTE_CHECK
 from depmodal.model import load_model
-from depmodal.semantics import evaluate, evaluate_by_evidence
+from depmodal.semantics import evaluate
 from depmodal.syntax import (GLOBAL, LOCAL, DepL, dep_atom, modal_depth,
                              parse_formula)
 
 from oracles import (are_bisimilar, cover_oracle, differs_on,
-                     pair_deletion_oracle, random_family)
+                     pair_deletion_oracle, random_family, recursive_eval_oracle)
 
 
 @contextmanager
@@ -58,7 +58,8 @@ def test_criterion_1_example_reproduction():
                 worlds = [claim.world] if claim.world is not None else m.worlds
                 for w in worlds:
                     got = evaluate(m, w, f)
-                    assert got == evaluate_by_evidence(m, w, f), (name, w)
+                    assert got == recursive_eval_oracle(
+                        m, w, f, dep_holds_by_evidence), (name, w)
                     assert got == claim.expect, (name, w, claim.formula)
 
 

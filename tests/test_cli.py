@@ -7,7 +7,9 @@ import pytest
 
 from depmodal.cli import main
 from depmodal.dependency import p_family
-from depmodal.fixtures import FIXTURES, fixture_names, fixture_path, load_fixture
+from depmodal.fixtures import (FIXTURES, fixture_claims, fixture_names,
+                               fixture_path, load_fixture)
+from depmodal.syntax import parse_formula
 
 from oracles import connected_union_oracle
 
@@ -260,6 +262,21 @@ class TestGenerative:
         assert err == "evaluation error: undeclared variable 'ghost'\n"
 
 
+@pytest.mark.parametrize("argv", [("check", "a", "Dg({x};{h})"),
+                                  ("generative", "a", "{h}", "--kind", "g")])
+def test_hidden_variable_is_named_as_hidden(capsys, tmp_path, argv):
+    path = tmp_path / "hidden.json"
+    path.write_text(json.dumps({
+        "propositions": [],
+        "variables": [{"name": "x", "hidden": False}, {"name": "h", "hidden": True}],
+        "worlds": [{"id": w, "props": {}, "vals": {"x": i, "h": i}}
+                   for i, w in enumerate("ab")],
+        "epistemic_partition": [["a", "b"]], "nomic_partition": [["a", "b"]]}))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (4, "")
+    assert err == "evaluation error: hidden variable 'h' cannot be mentioned\n"
+
+
 # ---------------------------------------------------------------------------
 # bisim
 # ---------------------------------------------------------------------------
@@ -486,6 +503,49 @@ def test_extension_route_disagreement_names_first_world(capsys, monkeypatch,
     assert out == ""
     assert err == (f"internal error: evaluation routes disagree at world "
                    f"{first!r}: direct=True evidence=False\n")
+
+
+def test_route_disagreement_hidden_by_the_value_is_internal_error(
+        capsys, monkeypatch):
+    # the formula is true whatever the atom's value, so only a comparison at
+    # the atom itself sees the evidence route flipped at s
+    from depmodal import dependency, semantics
+
+    honest = dependency.dep_holds_by_evidence
+
+    def broken(m, s, kind, x, y):
+        return honest(m, s, kind, x, y) != (s == "s")
+
+    monkeypatch.setattr(dependency, "dep_holds_by_evidence", broken)
+    door, text = fixture_path("open_door"), "Dl({bar_p};{bar_r}) | !Dl({bar_p};{bar_r})"
+    for argv in (("check", door, "s", text), ("extension", door, text)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (5, "")
+        assert err == ("internal error: evaluation routes disagree at world "
+                       "'s': direct=False evidence=True\n")
+    with pytest.raises(AssertionError, match="routes disagree at world 's'"):
+        semantics.evaluate(load_fixture("open_door"), "s", parse_formula(text))
+
+
+@pytest.mark.parametrize("argv, walks", [
+    (("check", fixture_path("open_door"), "s", "K Dg({bar_p};{bar_r})"), 1),
+    (("extension", fixture_path("open_door"), "K Dg({bar_p};{bar_r})"), 1),
+    (("examples", "judging_case_2"), len(fixture_claims("judging_case_2"))),
+])
+def test_one_walk_per_evaluation(capsys, monkeypatch, argv, walks):
+    from depmodal import semantics
+
+    calls = []
+    real = semantics.check_names
+
+    def counted(m, f):
+        calls.append(f)
+        return real(m, f)
+
+    monkeypatch.setattr(semantics, "check_names", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == walks
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):

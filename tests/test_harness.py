@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -17,7 +18,7 @@ from depmodal.syntax import (BOT, GLOBAL, KINDS, LOCAL, All, And, DepG, DepL,
                              mutual_dependence, parse_formula, render_formula)
 
 from oracles import (agree_outside, collect_dep_atoms, delta, differs_on,
-                     soundness_oracle)
+                     recursive_eval_oracle, soundness_oracle)
 
 
 def vs(*names):
@@ -264,8 +265,9 @@ class TestSoundnessSuite:
             m = random_model(replace(params, seed=ce.seed))
             f = parse_formula(ce.instance)
             i = m.worlds.index(ce.world)
-            assert not semantics.evaluate(m, ce.world, f)
-            assert all(semantics.evaluate(m, s, f) for s in m.worlds[:i])
+            mutant = semantics.dep_holds_direct
+            assert not recursive_eval_oracle(m, ce.world, f, mutant)
+            assert all(recursive_eval_oracle(m, s, f, mutant) for s in m.worlds[:i])
             past_first += i > 0
         assert past_first
 
@@ -362,7 +364,8 @@ def test_world_set_pass_matches_per_world_extension(monkeypatch, mutant, shape):
         formulas = _pass_formulas(m, seed)
         sets = harness._WorldSets(m)
         for f in formulas:
-            assert worlds(sets.mask(f)) == semantics._extension(m, f, at_anchor), \
+            assert worlds(sets.mask(f)) == {
+                s for s in m.worlds if recursive_eval_oracle(m, s, f, at_anchor)}, \
                 (seed, render_formula(f))
         assert set(sets.atoms) == set().union(*map(collect_dep_atoms, formulas))
         for (kind, x, y), (d, r) in sets.atoms.items():
@@ -468,6 +471,89 @@ def test_route_disagreement_reported_at_each_world_of_its_anchor(monkeypatch):
                            f"{render_formula(dep_atom(*a))} direct=False evidence=True", w)
             for a in atoms for w in ("a1", "a2", "a3")]
     assert report.counterexamples == want
+
+
+# ---------------------------------------------------------------------------
+# Route agreement on every small model
+# ---------------------------------------------------------------------------
+
+SMALL_VARIABLES = (("x1", False), ("x2", False), ("h", True))
+SMALL_SIDES = [frozenset(c) for size in range(3)
+               for c in itertools.combinations(("x1", "x2"), size)]
+
+
+def _set_partitions(items):
+    """Every partition of ``items`` into nonempty cells."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first], *part]
+        for i in range(len(part)):
+            yield [*part[:i], [first, *part[i]], *part[i + 1:]]
+
+
+def _small_models():
+    """Every model of 1-3 worlds over binary named ``x1``, ``x2`` and hidden
+    ``h``, with rows taken up to world permutation and every pair of
+    partitions, fewest worlds first, as ``(rows, epistemic, nomic, model)``."""
+    names = [name for name, _ in SMALL_VARIABLES]
+    variables = [{"name": name, "hidden": hidden} for name, hidden in SMALL_VARIABLES]
+    for n in (1, 2, 3):
+        worlds = [f"w{i}" for i in range(n)]
+        partitions = list(_set_partitions(worlds))
+        for rows in itertools.combinations_with_replacement(
+                itertools.product((0, 1), repeat=len(names)), n):
+            entries = [{"id": w, "props": {}, "vals": dict(zip(names, row))}
+                       for w, row in zip(worlds, rows)]
+            for epistemic in partitions:
+                for nomic in partitions:
+                    yield rows, epistemic, nomic, load_model({
+                        "propositions": [], "variables": variables,
+                        "worlds": entries, "epistemic_partition": epistemic,
+                        "nomic_partition": nomic})
+
+
+def _first_route_disagreement():
+    """Both routes asked every (kind, x, y, world) on every small model: the
+    first disagreement, on a model with the fewest worlds, as
+    ``(rows, epistemic, nomic, world, kind, x, y)``, or None; and how many
+    models and asks it took to decide."""
+    models = asks = 0
+    for rows, epistemic, nomic, m in _small_models():
+        models += 1
+        for s in m.worlds:
+            for kind in KINDS:
+                for x in SMALL_SIDES:
+                    for y in SMALL_SIDES:
+                        asks += 1
+                        if (semantics.dep_holds_direct(m, s, kind, x, y)
+                                != dependency.dep_holds_by_evidence(m, s, kind, x, y)):
+                            return (rows, epistemic, nomic, s, kind, x, y), models, asks
+    return None, models, asks
+
+
+def test_routes_agree_on_every_small_model():
+    assert _first_route_disagreement() == (None, 3152, 297472)
+
+
+# each mutant's smallest counterexample: two worlds in one nomic class, where
+# the mutant answers true and the evidence route false.  Without agreement,
+# a difference in the hidden h no longer voids the pair; without the
+# difference on y, an empty y no longer makes the atom false.
+@pytest.mark.parametrize("mutant, smallest", [
+    (without_agreement_conjunct,
+     (((0, 0, 0), (0, 1, 1)), [["w0"], ["w1"]], [["w0", "w1"]],
+      "w0", GLOBAL, vs("x2"), vs("x2"))),
+    (without_y_difference,
+     (((0, 0, 0), (0, 1, 0)), [["w0"], ["w1"]], [["w0", "w1"]],
+      "w0", GLOBAL, vs("x2"), vs())),
+])
+def test_every_small_model_catches_mutated_direct_route(monkeypatch, mutant, smallest):
+    monkeypatch.setattr(semantics, "dep_holds_direct", mutant)
+    found, _, _ = _first_route_disagreement()
+    assert found == smallest
 
 
 def test_collect_dep_atoms():

@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depmodal.bisim import find_distinguishing_formula
+from depmodal.dependency import dep_holds_by_evidence
 from depmodal.errors import EvalError, ModelError
 from depmodal.fixtures import (fixture_claims, fixture_names, fixture_text,
                                load_fixture)
 from depmodal.harness import GenParams, random_model
 from depmodal.model import KripkeModel, load_model
-from depmodal.semantics import evaluate, evaluate_by_evidence
+from depmodal.semantics import evaluate
 from depmodal.syntax import parse_formula
 
-from oracles import agree_outside, delta, differs_on
+from oracles import agree_outside, delta, differs_on, recursive_eval_oracle
 
 
 def vs(*names):
@@ -389,7 +390,8 @@ def test_model_is_a_snapshot_of_its_document():
     for f in map(parse_formula, texts):
         for w in twin.worlds:
             assert evaluate(m, w, f) == evaluate(twin, w, f)
-            assert evaluate_by_evidence(m, w, f) == evaluate_by_evidence(twin, w, f)
+            assert (recursive_eval_oracle(m, w, f, dep_holds_by_evidence)
+                    == recursive_eval_oracle(twin, w, f, dep_holds_by_evidence))
 
 
 def test_pointed_model_checks_point(open_door):
