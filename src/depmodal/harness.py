@@ -7,6 +7,16 @@ evaluation routes on every dependency atom occurring in the drawn instances,
 so a corrupted evaluator surfaces as counterexamples even when it happens to
 leave every schema valid.  Counterexamples carry their reproduction seed.
 
+Each schema is stated once, in the table ``_SCHEMAS``, which gives its group,
+what it draws and how its formula is built.  A box schema is instantiated
+for K and for A over random formulas; a dependency schema for both kinds,
+and a fixed schema once, over random variable sets.  A trial draws its
+instances from one seeded generator in table order (the box schemas for K,
+then for A; the dependency schemas for each kind in turn; then the fixed
+ones), and the tests pin what each seed draws: the acceptance criteria and
+the axioms benchmark re-run these instances, so a reordered draw would
+silently change what they check.
+
 Each trial is one bottom-up pass over its instances on int bitmasks of
 worlds: each distinct node is evaluated once, so a subtree shared by both
 sides of a biconditional costs one visit, and the pass finds the dependency
@@ -100,57 +110,93 @@ def random_varset(rng: random.Random, names: list[str],
 def random_formula(rng: random.Random, m: KripkeModel, depth: int = 2) -> Formula:
     """A random formula over the model's declared names."""
     named = sorted(m.named_variables)
-    atoms = ["top"]
+    leaves = [Top]
     if m.propositions:
-        atoms.append("prop")
+        leaves.append(Prop)
     if named:
-        atoms.extend(["depg", "depl"])
+        leaves.extend([DepG, DepL])
     if depth == 0 or rng.random() < 0.4:
-        match rng.choice(atoms):
-            case "top":
-                return TOP
-            case "prop":
-                return _random_prop(rng, m)
-            case "depg":
-                return DepG(random_varset(rng, named), random_varset(rng, named))
-            case _:
-                return dep_atom(LOCAL, random_varset(rng, named),
-                                random_varset(rng, named))
-    match rng.choice(["not", "and", "know", "all"]):
-        case "not":
-            return Not(random_formula(rng, m, depth - 1))
-        case "and":
-            return And(random_formula(rng, m, depth - 1),
-                       random_formula(rng, m, depth - 1))
-        case "know":
-            return Know(random_formula(rng, m, depth - 1))
-        case _:
-            return All(random_formula(rng, m, depth - 1))
-
-
-def _random_prop(rng: random.Random, m: KripkeModel) -> Formula:
-    return Prop(rng.choice(sorted(m.propositions)))
+        leaf = rng.choice(leaves)
+        if leaf is Top:
+            return TOP
+        if leaf is Prop:
+            return Prop(rng.choice(sorted(m.propositions)))
+        return leaf(random_varset(rng, named), random_varset(rng, named))
+    node = rng.choice((Not, And, Know, All))
+    if node is And:
+        return And(random_formula(rng, m, depth - 1),
+                   random_formula(rng, m, depth - 1))
+    return node(random_formula(rng, m, depth - 1))
 
 
 # ---------------------------------------------------------------------------
 # Axiom schemas
 # ---------------------------------------------------------------------------
 
-#: formula-parameterized schemas for the two boxes
-BOX_SCHEMAS = ("dist", "t", "4", "5")
-#: variable-set-parameterized schemas; instantiated for both dependency kinds
-DEP_SCHEMAS = ("cover", "empty_chain", "empty_set", "symmetry",
-               "weakening", "separation")
-#: schemas with a fixed shape
-FIXED_SCHEMAS = ("global_stability", "duality")
+def _cover(kind: str, x: VarSet, y: VarSet) -> Formula:
+    if not x or not y:
+        raise ValueError("cover schema needs nonempty argument sets")
+    blocks = sorted({xp | yp
+                     for xp in (*proper_subsets(x), x)
+                     for yp in (*proper_subsets(y), y)},
+                    key=lambda s: (len(s), sorted(s)))
+    return iff(dep_atom(kind, x, y),
+               disj_all(mutual_dependence(kind, w) for w in blocks))
+
+
+def _empty_chain(kind: str, x: VarSet) -> Formula:
+    empty: VarSet = frozenset()
+    return And(iff(dep_atom(kind, empty, x), dep_atom(kind, x, empty)),
+               iff(dep_atom(kind, x, empty), BOT))
+
+
+def _weakening(kind: str, x: VarSet, x_wide: VarSet, y: VarSet) -> Formula:
+    if not x <= x_wide:
+        raise ValueError("weakening schema needs the first set inside the second")
+    return implies(dep_atom(kind, x, y), dep_atom(kind, x_wide, y))
+
+
+def _separation(kind: str, x: VarSet, y: VarSet) -> Formula:
+    return iff(dep_atom(kind, x, y),
+               disj(dep_atom(kind, x - y, y), dep_atom(kind, x & y, y)))
+
+
+#: name: (group, draws, build), in suite order.  ``draws`` names the
+#: components in draw order: "f" a random formula, "s" a nonempty variable
+#: set, "e" a possibly empty one, "w" the previous set joined with a possibly
+#: empty one.  ``build`` takes the box (box group), the kind (dep group) or
+#: None (fixed group), then the components.
+_SCHEMAS = {
+    "dist": ("box", "ff",
+             lambda box, f, g: implies(box(implies(f, g)), implies(box(f), box(g)))),
+    "t": ("box", "f", lambda box, f: implies(box(f), f)),
+    "4": ("box", "f", lambda box, f: implies(box(f), box(box(f)))),
+    "5": ("box", "f", lambda box, f: implies(Not(box(f)), box(Not(box(f))))),
+    "cover": ("dep", "ss", _cover),
+    "empty_chain": ("dep", "e", _empty_chain),
+    "empty_set": ("dep", "e", lambda kind, x: iff(dep_atom(kind, frozenset(), x), BOT)),
+    "symmetry": ("dep", "ss",
+                 lambda kind, x, y: iff(dep_atom(kind, x, y), dep_atom(kind, y, x))),
+    "weakening": ("dep", "sws", _weakening),
+    "separation": ("dep", "ss", _separation),
+    "global_stability": ("fixed", "ss",
+                         lambda _, x, y: implies(DepG(x, y), All(DepG(x, y)))),
+    "duality": ("fixed", "ss",
+                lambda _, x, y: iff(DepG(x, y), Not(All(Not(DepL(x, y)))))),
+}
+_BOXES = {"k": Know, "a": All}
+
+
+def _group(group: str) -> list[tuple[str, str]]:
+    """The names and draws of the group's schemas, in table order."""
+    return [(name, draws) for name, (g, draws, _) in _SCHEMAS.items() if g == group]
 
 
 def schema_names() -> list[str]:
     """Every schema identifier the suite instantiates."""
-    names = [f"{box}_{s}" for box in ("k", "a") for s in BOX_SCHEMAS]
-    names += [f"{s}_{kind[0]}" for s in DEP_SCHEMAS for kind in KINDS]
-    names += list(FIXED_SCHEMAS)
-    return names
+    names = [f"{box}_{s}" for box in _BOXES for s, _ in _group("box")]
+    names += [f"{s}_{kind[0]}" for s, _ in _group("dep") for kind in KINDS]
+    return names + [s for s, _ in _group("fixed")]
 
 
 @dataclass(frozen=True)
@@ -169,102 +215,50 @@ class SchemaInstance:
         return base
 
 
-def _box(kind: str):
-    return Know if kind == "k" else All
-
-
 def instantiate(inst: SchemaInstance) -> Formula:
     """The closed formula for a schema instance; biconditionals and
-    implications are desugared into the core connectives."""
-    name = inst.schema
-    if name in ("k_dist", "a_dist"):
-        box = _box(name[0])
-        f, g = inst.formulas
-        return implies(box(implies(f, g)), implies(box(f), box(g)))
-    if name in ("k_t", "a_t"):
-        box = _box(name[0])
-        (f,) = inst.formulas
-        return implies(box(f), f)
-    if name in ("k_4", "a_4"):
-        box = _box(name[0])
-        (f,) = inst.formulas
-        return implies(box(f), box(box(f)))
-    if name in ("k_5", "a_5"):
-        box = _box(name[0])
-        (f,) = inst.formulas
-        return implies(Not(box(f)), box(Not(box(f))))
-
-    kind = inst.kind
-    if name == "cover":
-        x, y = inst.varsets
-        if not x or not y:
-            raise ValueError("cover schema needs nonempty argument sets")
-        blocks = sorted({xp | yp
-                         for xp in (*proper_subsets(x), x)
-                         for yp in (*proper_subsets(y), y)},
-                        key=lambda s: (len(s), sorted(s)))
-        return iff(dep_atom(kind, x, y),
-                   disj_all(mutual_dependence(kind, w) for w in blocks))
-    if name == "empty_chain":
-        (x,) = inst.varsets
-        empty: VarSet = frozenset()
-        return And(iff(dep_atom(kind, empty, x), dep_atom(kind, x, empty)),
-                   iff(dep_atom(kind, x, empty), BOT))
-    if name == "empty_set":
-        (x,) = inst.varsets
-        return iff(dep_atom(kind, frozenset(), x), BOT)
-    if name == "symmetry":
-        x, y = inst.varsets
-        return iff(dep_atom(kind, x, y), dep_atom(kind, y, x))
-    if name == "weakening":
-        x, x_wide, y = inst.varsets
-        if not x <= x_wide:
-            raise ValueError("weakening schema needs the first set inside the second")
-        return implies(dep_atom(kind, x, y), dep_atom(kind, x_wide, y))
-    if name == "separation":
-        x, y = inst.varsets
-        return iff(dep_atom(kind, x, y),
-                   disj(dep_atom(kind, x - y, y), dep_atom(kind, x & y, y)))
-    if name == "global_stability":
-        x, y = inst.varsets
-        return implies(DepG(x, y), All(DepG(x, y)))
-    if name == "duality":
-        x, y = inst.varsets
-        return iff(DepG(x, y), Not(All(Not(dep_atom(LOCAL, x, y)))))
-    raise ValueError(f"unknown schema {name!r}")
+    implications are desugared into the core connectives.  ``ValueError``
+    for an unknown schema, a kind its group does not take, or components
+    that do not match its draws."""
+    prefix, _, rest = inst.schema.partition("_")
+    box = _BOXES.get(prefix)
+    entry = _SCHEMAS.get(rest if box else inst.schema)
+    if entry is None or (entry[0] == "box") != (box is not None):
+        raise ValueError(f"unknown schema {inst.schema!r}")
+    group, draws, build = entry
+    if inst.kind not in (KINDS if group == "dep" else (None,)):
+        raise ValueError(f"schema {inst.schema!r} does not take kind {inst.kind!r}")
+    n = draws.count("f")
+    if (len(inst.formulas), len(inst.varsets)) != (n, len(draws) - n):
+        raise ValueError(f"schema {inst.schema!r} takes {n} formulas and "
+                         f"{len(draws) - n} variable sets")
+    return build(box or inst.kind, *inst.formulas, *inst.varsets)
 
 
 def draw_instances(rng: random.Random, m: KripkeModel) -> list[SchemaInstance]:
     """One instance of every schema, with random components bounded to keep
-    the cover schema's doubly exponential disjunction tractable."""
+    the cover schema's doubly exponential disjunction tractable; the
+    dependency schemas need a named variable."""
     named = sorted(m.named_variables)
-    out: list[SchemaInstance] = []
-    for box in ("k", "a"):
-        for s in BOX_SCHEMAS:
-            arity = 2 if s == "dist" else 1
-            out.append(SchemaInstance(
-                schema=f"{box}_{s}",
-                formulas=tuple(random_formula(rng, m) for _ in range(arity))))
 
+    def draw(draws: str) -> tuple:
+        parts: list = []
+        for c in draws:
+            if c == "f":
+                parts.append(random_formula(rng, m))
+            elif c == "w":
+                parts.append(parts[-1] | random_varset(rng, named, allow_empty=True))
+            else:
+                parts.append(random_varset(rng, named, allow_empty=c == "e"))
+        return tuple(parts)
+
+    out = [SchemaInstance(f"{box}_{s}", formulas=draw(draws))
+           for box in _BOXES for s, draws in _group("box")]
     if not named:
         return out
-
-    def vs(allow_empty=False):
-        return random_varset(rng, named, allow_empty)
-
     for kind in KINDS:
-        x, y = vs(), vs()
-        out.append(SchemaInstance("cover", kind, varsets=(x, y)))
-        out.append(SchemaInstance("empty_chain", kind, varsets=(vs(allow_empty=True),)))
-        out.append(SchemaInstance("empty_set", kind, varsets=(vs(allow_empty=True),)))
-        out.append(SchemaInstance("symmetry", kind, varsets=(vs(), vs())))
-        x = vs()
-        wide = x | vs(allow_empty=True)
-        out.append(SchemaInstance("weakening", kind, varsets=(x, wide, vs())))
-        out.append(SchemaInstance("separation", kind, varsets=(vs(), vs())))
-    out.append(SchemaInstance("global_stability", varsets=(vs(), vs())))
-    out.append(SchemaInstance("duality", varsets=(vs(), vs())))
-    return out
+        out += [SchemaInstance(s, kind, varsets=draw(draws)) for s, draws in _group("dep")]
+    return out + [SchemaInstance(s, varsets=draw(draws)) for s, draws in _group("fixed")]
 
 
 # ---------------------------------------------------------------------------

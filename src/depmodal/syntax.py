@@ -121,10 +121,14 @@ def iff(a: Formula, b: Formula) -> Formula:
 
 
 def conj_all(formulas: Iterable[Formula]) -> Formula:
-    """Left-folded conjunction; rejects an empty sequence."""
+    """Left-folded conjunction of the distinct formulas, in order of first
+    occurrence; rejects an empty sequence.  A lone conjunct is returned
+    unhashed, since hashing recurses through the whole formula."""
     items = list(formulas)
     if not items:
         raise ValueError("conjunction of no formulas")
+    if len(items) > 1:
+        items = list(dict.fromkeys(items))
     out = items[0]
     for f in items[1:]:
         out = And(out, f)

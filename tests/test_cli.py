@@ -295,6 +295,11 @@ class TestBisim:
         assert code == 0
         assert out.strip() == "bisimilar"
 
+    def test_distinguishing_conjuncts_are_distinct(self, capsys):
+        code, out, _ = run(capsys, "bisim", fixture_path("experiment_2runs"), "w1",
+                           fixture_path("experiment_3runs"), "w1")
+        assert (code, out) == (0, "not bisimilar\ndistinguishing: !K !!Dg({x};{z})\n")
+
     def test_signature_mismatch_reported(self, capsys):
         code, _, err = run(capsys, "bisim", fixture_path("open_door"), "s",
                            fixture_path("dl_strictness_witness"), "a")

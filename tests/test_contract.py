@@ -20,8 +20,8 @@ from depmodal.errors import ModelError, ParseError
 from depmodal.fixtures import fixture_path
 from depmodal.harness import GenParams, random_formula, random_model
 from depmodal.model import KripkeModel
-from depmodal.syntax import (And, DepG, DepL, Know, Not, Prop, conj_all,
-                             parse_formula, parse_varset, render_formula)
+from depmodal.syntax import (And, DepG, DepL, Know, Not, Prop, parse_formula,
+                             parse_varset, render_formula)
 
 from oracles import descent_parse_oracle, render_oracle
 
@@ -199,10 +199,12 @@ def test_renderer_matches_render_oracle_on_and_chains(n):
     atoms = [Prop("p"), Not(DepG(frozenset({"x", "y"}), frozenset())),
              Know(DepL(frozenset({"z"}), frozenset({"x"})))]
     items = [atoms[i % 3] for i in range(n)]
+    # a left fold, since conj_all drops the repeated items
+    left_nested = functools.reduce(And, items)
     # bracketed right operands cost the oracle three frames a level
     right_nested = functools.reduce(lambda rest, f: And(f, rest), reversed(items[:60]))
-    for f in (conj_all(items), Not(conj_all(items)), right_nested,
-              conj_all([And(items[0], items[-1])] * n)):
+    for f in (left_nested, Not(left_nested), right_nested,
+              functools.reduce(And, [And(items[0], items[-1])] * n)):
         assert render_formula(f) == render_oracle(f)
 
 

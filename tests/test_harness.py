@@ -13,8 +13,8 @@ from depmodal.harness import (GenParams, SchemaInstance, draw_instances,
                               schema_names, soundness_suite, Counterexample,
                               ROUTE_CHECK)
 from depmodal.model import load_model
-from depmodal.syntax import (BOT, GLOBAL, KINDS, LOCAL, All, And, DepG, DepL,
-                             Know, Not, dep_atom, iff, implies, disj,
+from depmodal.syntax import (BOT, GLOBAL, KINDS, LOCAL, TOP, All, And, DepG,
+                             DepL, Know, Not, dep_atom, iff, implies, disj,
                              mutual_dependence, parse_formula, render_formula)
 
 from oracles import (agree_outside, collect_dep_atoms, delta, differs_on,
@@ -104,6 +104,24 @@ class TestRandomModel:
                 assert 0 <= m.assignment[w][x] < 3
 
 
+@pytest.mark.parametrize("shape, digest", [
+    ({}, "4a6f2f814f0e9eb8d4649c061c774abbf7d520a9dee8878ea703e36d461bdb0c"),
+    ({"num_props": 0}, "8848ea68c6012522b8542f63bbe744458e6e840ca95145577f4e357aca5b3d82"),
+    ({"num_named": 0}, "6f819547b7c963a1c8a158a1d89f9d3beacbb25ce81531387732abc79b9853d4"),
+    ({"num_props": 0, "num_named": 0}, "bb49367fc212da480ee2071849851cfe8f3f7dd6f22d6920b9113d1b6f5b07ce"),
+])
+def test_random_formula_draws_are_pinned(shape, digest):
+    # the schema instances and the contract tests draw these formulas; the
+    # leaves a model offers and the order of the draws decide them
+    h = hashlib.sha256()
+    for seed in range(50):
+        m = random_model(GenParams(seed=seed, **shape))
+        for depth in range(5):
+            f = random_formula(random.Random(seed), m, depth)
+            h.update(render_formula(f).encode() + b"\n")
+    assert h.hexdigest() == digest
+
+
 def test_random_formula_names_are_declared():
     rng = random.Random(0)
     m = random_model(GenParams(seed=1))
@@ -173,6 +191,25 @@ class TestInstantiate:
         with pytest.raises(ValueError):
             instantiate(SchemaInstance("modus_ponens"))
 
+    @pytest.mark.parametrize("inst", [
+        SchemaInstance("k_t"),
+        SchemaInstance("k_t", formulas=(TOP, TOP)),
+        SchemaInstance("a_dist", formulas=(TOP,)),
+        SchemaInstance("symmetry", GLOBAL, varsets=(vs("x"),)),
+        SchemaInstance("weakening", LOCAL, varsets=(vs("x"), vs("x", "y"))),
+        SchemaInstance("duality", varsets=(vs("x"), vs("y"), vs("z"))),
+        SchemaInstance("cover", None, varsets=(vs("x"), vs("y"))),
+        SchemaInstance("empty_set", "sideways", varsets=(vs("x"),)),
+        SchemaInstance("b_t", formulas=(TOP,)),
+        SchemaInstance("k_cover", GLOBAL, varsets=(vs("x"), vs("y"))),
+        SchemaInstance("k_t", GLOBAL, formulas=(TOP,)),
+    ], ids=["k_t-0", "k_t-2", "a_dist-1", "symmetry-1", "weakening-2",
+            "duality-3", "cover-no-kind", "empty_set-bad-kind", "b_t", "k_cover",
+            "k_t-with-kind"])
+    def test_malformed_instance_rejected(self, inst):
+        with pytest.raises(ValueError):
+            instantiate(inst)
+
 
 @pytest.mark.parametrize("first, digest", [
     (0, "9961d2d4215f811c7fbea2c877b49a74b1327d48c7a487d30e2400b3e32c607c"),
@@ -188,6 +225,16 @@ def test_drawn_instances_are_pinned(first, digest):
         for inst in draw_instances(random.Random(seed ^ 0x9E3779B9), m):
             h.update(f"{inst.label()} {render_formula(instantiate(inst))}\n".encode())
     assert h.hexdigest() == digest
+
+
+def test_schema_names_are_pinned():
+    # the suite's schema count and the order its instances are drawn in
+    assert schema_names() == [
+        "k_dist", "k_t", "k_4", "k_5", "a_dist", "a_t", "a_4", "a_5",
+        "cover_g", "cover_l", "empty_chain_g", "empty_chain_l",
+        "empty_set_g", "empty_set_l", "symmetry_g", "symmetry_l",
+        "weakening_g", "weakening_l", "separation_g", "separation_l",
+        "global_stability", "duality"]
 
 
 def test_draw_instances_covers_every_schema():

@@ -5,7 +5,7 @@ import pytest
 
 from depmodal.errors import ParseError
 from depmodal.syntax import (GLOBAL, LOCAL, TOP, All, And, DepG, DepL, Know,
-                             Not, Prop, modal_depth, mutual_dependence,
+                             Not, Prop, conj_all, modal_depth, mutual_dependence,
                              parse_formula, parse_varset, proper_subsets,
                              render_formula)
 
@@ -180,3 +180,19 @@ def test_formulas_hashable_and_immutable():
     assert hash(f) == hash(parse_formula("K Dg({x};{y})"))
     with pytest.raises(AttributeError):
         f.operand = TOP
+
+
+def test_conj_all_drops_repeated_conjuncts():
+    p, q, r = Prop("p"), Prop("q"), Prop("r")
+    assert conj_all([q, p, q, r, p]) == And(And(q, p), r)
+    assert conj_all([p, p, p]) == p
+    with pytest.raises(ValueError):
+        conj_all([])
+
+
+def test_conj_all_returns_a_lone_conjunct_unhashed():
+    # hashing recurses through the whole formula, which a deep one overflows
+    f = TOP
+    for _ in range(5000):
+        f = Not(f)
+    assert conj_all([f]) is f
