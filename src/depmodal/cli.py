@@ -7,12 +7,18 @@ Exit status: 0 for a completed command (a "false" answer is still 0),
 or malformed input text, 3 for model load/validation errors, 4 for
 evaluation errors such as unknown worlds, undeclared names, hidden variables
 named in a formula or candidate, or a distinguishing formula nested too
-deeply, and 5 for an internal error: the two evaluation routes disagree on a
+deeply, 5 for an internal error: the two evaluation routes disagree on a
 dependency atom the evaluation asks (the message names the world it was
-asked at), or any other unexpected exception.
+asked at), or any other unexpected exception, and 141 (128 + SIGPIPE, as a
+shell reports for a writer whose reader left) when standard output is closed
+before the output is written, with nothing on stderr.
 
 The argument parser is built once per process and reused by every ``main``
 call; argparse keeps no state between ``parse_args`` calls.
+
+``cmd_bisim`` and ``cmd_axioms`` import the bisimulation and the soundness
+harness inside the function, so that the other commands start without
+importing either module.
 """
 
 from __future__ import annotations
@@ -20,15 +26,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict
 
 from . import fixtures
-from .bisim import find_distinguishing_formula
 from .dependency import (METHODS, generative_family, is_generative, p_family,
                          sigma)
 from .errors import EvalError, ModelError, ParseError
-from .harness import GenParams, soundness_suite
 from .model import KripkeModel, load_model_path
 from .semantics import evaluate, extension
 from .syntax import (GLOBAL, LOCAL, modal_depth, parse_formula, parse_varset,
@@ -39,6 +44,7 @@ EXIT_USAGE = 2
 EXIT_MODEL = 3
 EXIT_EVAL = 4
 EXIT_INTERNAL = 5
+EXIT_PIPE = 141
 
 _KIND = {"g": GLOBAL, "l": LOCAL}
 
@@ -195,6 +201,8 @@ def cmd_generative(args) -> int:
 
 
 def cmd_bisim(args) -> int:
+    from .bisim import find_distinguishing_formula
+
     if args.depth is not None and args.depth < 0:
         raise ValueError("depth must be >= 0")
     m = load_model_path(_pick(args.model_pos, args.model_flag, "model path"))
@@ -225,6 +233,8 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    from .harness import GenParams, soundness_suite
+
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
     report = soundness_suite(GenParams(seed=args.seed), args.trials)
@@ -316,6 +326,9 @@ def main(argv: list[str] | None = None) -> int:
     except EvalError as e:
         print(f"evaluation error: {e}", file=sys.stderr)
         return EXIT_EVAL
+    except BrokenPipeError:
+        # the reader stopped early, which is not a fault of the command
+        return EXIT_PIPE
     except Exception as e:
         # route disagreements and bugs alike: no traceback, a documented code
         print(f"internal error: {e}", file=sys.stderr)
@@ -323,7 +336,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_PIPE
+    if code == EXIT_PIPE:
+        # what stdout still buffers can never be delivered; writing it to
+        # devnull keeps the interpreter's final flush from reporting it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

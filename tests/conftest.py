@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import depmodal
 from depmodal import fixtures
 
 
@@ -31,3 +35,11 @@ def judging_case_2():
 @pytest.fixture(scope="session")
 def witness():
     return fixtures.load_fixture("dl_strictness_witness")
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment for a fresh interpreter that imports this package."""
+    src = str(Path(depmodal.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))

@@ -1,6 +1,9 @@
 """CLI behaviour: exit codes, output shapes, and fixture replay."""
 
+import contextlib
 import json
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -563,6 +566,57 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     code, _, err = run(capsys, "validate", fixture_path("open_door"))
     assert code == 5
     assert err.startswith("internal error: ") and "boom" in err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_exits_141_quietly(capsys):
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        code = main(["validate", fixture_path("open_door")])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def _read_then_close(argv, env, lines: int) -> tuple[list[bytes], int, bytes]:
+    """Run the command-line entry point on ``argv``, read ``lines`` lines of
+    its stdout and close the pipe; the lines read, the exit status and
+    stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "depmodal.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    read = [proc.stdout.readline() for _ in range(lines)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return read, proc.wait(timeout=60), err
+
+
+def test_reader_that_stops_early_gets_141_and_empty_stderr(tmp_path, package_env):
+    # one cell of worlds whose ids fill several pipe buffers, so the writer
+    # is still writing when the reader closes its end
+    ws = [f"world{i:05d}" for i in range(20000)]
+    path = tmp_path / "big.edl"
+    path.write_text(json.dumps({
+        "propositions": ["p"], "variables": [],
+        "worlds": [{"id": w, "props": {"p": 1}, "vals": {}} for w in ws],
+        "epistemic_partition": [ws], "nomic_partition": [ws]}))
+    assert _read_then_close(["extension", str(path), "p"], package_env, 1) == \
+        ([b"world00000\n"], 141, b"")
+
+
+def test_reader_gone_before_the_final_flush_gets_141_and_empty_stderr(package_env):
+    # the output fits a buffered stdout, so nothing is written before the
+    # flush at exit, and the reader has closed long before the child starts
+    env = {k: v for k, v in package_env.items() if k != "PYTHONUNBUFFERED"}
+    assert _read_then_close(["validate", fixture_path("open_door")], env, 0) == \
+        ([], 141, b"")
 
 
 def test_parser_reuse_keeps_results(capsys):
