@@ -24,7 +24,7 @@ from .dependency import EvidenceFamily, atom_holds_from_family, is_generative, p
 from .errors import EvalError
 from .model import KripkeModel
 from .syntax import (GLOBAL, LOCAL, All, DepG, DepL, Formula, Know, Not, Prop,
-                     conj_all, dep_atom, mutual_dependence, proper_subsets)
+                     conj_all, split_atoms)
 
 Pair = tuple[str, str]
 
@@ -146,7 +146,8 @@ class _Refiner:
 
     def split_atom(self, a: int, b: int) -> Formula:
         """A proposition or dependency atom with different truth values at the
-        two nodes; the nodes must sit in different level-0 cells."""
+        two nodes; the nodes must sit in different level-0 cells.  Each family
+        member, least first, offers its ``split_atoms`` in order."""
         (ma, wa), (mb, wb) = self.world(a), self.world(b)
         for p in self.props:
             if ma.valuation[wa][p] != mb.valuation[wb][p]:
@@ -158,7 +159,7 @@ class _Refiner:
                 continue
             members = p_family(ma, wa, kind) | p_family(mb, wb, kind)
             for w in sorted(members, key=lambda s: (len(s), sorted(s))):
-                for atom in _block_atoms(kind, w):
+                for atom in split_atoms(kind, w):
                     if self._atom_true_at(a, atom) != self._atom_true_at(b, atom):
                         return atom
         raise AssertionError("level-0 split without a distinguishing atom")
@@ -195,18 +196,7 @@ def _core(p: EvidenceFamily) -> frozenset:
     """The members of ``p`` its strictly smaller members do not generate;
     families with equal cores have equal generative families."""
     return frozenset(w for w in p
-                     if not is_generative(frozenset(m for m in p if m < w), w, "partition"))
-
-
-def _block_atoms(kind: str, w: frozenset[str]):
-    """The atoms whose conjunction asserts that ``w`` is one interdependent
-    block; one of them must separate two worlds whose generative families
-    disagree on ``w``."""
-    if len(w) == 1:
-        yield mutual_dependence(kind, w)
-        return
-    for z in proper_subsets(w):
-        yield dep_atom(kind, z, w - z)
+                     if not is_generative(frozenset(m for m in p if m < w), w))
 
 
 def find_distinguishing_formula(m: KripkeModel, s: str, m2: KripkeModel,

@@ -31,8 +31,7 @@ import sys
 from dataclasses import asdict
 
 from . import fixtures
-from .dependency import (METHODS, generative_family, is_generative, p_family,
-                         sigma)
+from .dependency import generative_family, is_generative, p_family, sigma
 from .errors import EvalError, ModelError, ParseError
 from .model import KripkeModel, load_model_path
 from .semantics import evaluate, extension
@@ -81,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, formula=True)
 
     p = sub.add_parser("generative", help="difference family, generative family, "
-                                          "and verdicts for one candidate set")
+                                          "and the verdict for one candidate set")
     add_common(p, world=True)
     p.add_argument("varset_pos", nargs="?", metavar="VARSET",
                    help="candidate set, e.g. '{x,y}'")
@@ -187,14 +186,12 @@ def cmd_generative(args) -> int:
             raise _UsageError("candidate set must be nonempty")
         m._check_named(candidate)
         sig = sigma(fam, candidate)
-        verdicts = {method: is_generative(fam, candidate, method)
-                    for method in METHODS}
+        verdict = is_generative(fam, candidate)
         lines.append(f"sigma({render_varset(candidate)}): {_fmt_family(sig)}")
-        lines.append("generative: " + " ".join(
-            f"{k}={str(v).lower()}" for k, v in verdicts.items()))
+        lines.append(f"generative: {str(verdict).lower()}")
         payload["candidate"] = sorted(candidate)
         payload["sigma"] = sorted(sorted(s) for s in sig)
-        payload["verdicts"] = verdicts
+        payload["generative"] = verdict
     lines.append(f"generative family: {_fmt_family(gen)}")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK

@@ -9,7 +9,8 @@ their union; dependency atoms hold exactly when some family member is an
 evidence for them.  A set ``w`` is *generative* from a family when every
 evidence role ``w`` could play is already covered by a family member; the
 family of all generative sets is the model-theoretic fingerprint that
-determines every dependency atom at a world.
+determines every dependency atom at a world.  ``is_generative`` is the one
+decision procedure for a single set; the test oracles keep the other routes.
 
 Each nomic class has one table of difference families, keyed by anchor:
 the global family under the class, and each distinct row's local family
@@ -28,9 +29,7 @@ import operator
 from typing import Iterable
 
 from .model import KripkeModel
-from .syntax import GLOBAL, VarSet, proper_subsets
-
-METHODS = ("lemma", "partition", "graph")
+from .syntax import GLOBAL, VarSet
 
 
 class EvidenceFamily(frozenset):
@@ -132,58 +131,19 @@ def sigma(p: EvidenceFamily, w: VarSet) -> frozenset[VarSet]:
     return frozenset(m for m in p if m <= w)
 
 
-def is_generative(p: EvidenceFamily, w: VarSet, method: str = "lemma") -> bool:
-    """Whether every evidence role of ``w`` is covered by a member of ``p``.
-
-    Three equivalent decision routes are provided and tested against each
-    other: ``lemma`` (singletons must be members; otherwise every two-block
-    split of ``w`` needs an evidence in ``p``), ``partition`` (the members
-    inside ``w`` cover it, and joining the variables each of them holds
-    leaves one block), and ``graph`` (the members inside ``w`` cover it and
-    their intersection graph is connected).
-    """
-    if not w:
-        raise ValueError("w must be nonempty")
-    if method == "lemma":
-        return _generative_lemma(p, w)
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    # the partition and graph routes both need sigma(p, w) to cover w
+def is_generative(p: EvidenceFamily, w: VarSet) -> bool:
+    """Whether every evidence role of ``w`` is covered by a member of ``p``:
+    the members inside ``w`` cover it, and joining the variables each of
+    them holds leaves one block."""
     sig = sigma(p, w)
     if frozenset().union(*sig) != w:
         return False
-    if method == "partition":
-        return _generative_partition(sig)
-    return _generative_graph(sig)
-
-
-def _generative_lemma(p: EvidenceFamily, w: VarSet) -> bool:
-    if len(w) == 1:
-        return w in p
-    return all(atom_holds_from_family(p, z, w - z) for z in proper_subsets(w))
-
-
-def _generative_partition(sig: frozenset[VarSet]) -> bool:
     # join each member with every block of variables it meets
     blocks: list[VarSet] = []
     for m in sig:
         met = [b for b in blocks if b & m]
         blocks = [b for b in blocks if not b & m] + [m.union(*met)]
     return len(blocks) == 1
-
-
-def _generative_graph(sig: frozenset[VarSet]) -> bool:
-    members = list(sig)
-    # BFS over the intersection graph
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(len(members)):
-            if j not in seen and members[i] & members[j]:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == len(members)
 
 
 def generative_family(p: EvidenceFamily) -> EvidenceFamily:

@@ -363,6 +363,16 @@ def proper_subsets(w: VarSet) -> Iterator[VarSet]:
             yield frozenset(combo)
 
 
+def split_atoms(kind: str, w: VarSet) -> Iterator[Formula]:
+    """The atoms of ``mutual_dependence(kind, w)`` one at a time, in order:
+    a self-dependency atom for one variable, otherwise one atom per nonempty
+    proper subset ``z`` of ``w``, pairing ``z`` with the rest of ``w``."""
+    if len(w) == 1:
+        yield dep_atom(kind, w, w)
+    for z in proper_subsets(w):
+        yield dep_atom(kind, z, w - z)
+
+
 def mutual_dependence(kind: str, w: VarSet) -> Formula:
     """Formula stating that ``w`` hangs together as one interdependent block:
     every split of ``w`` into two nonempty parts is a dependency pair.  The
@@ -370,7 +380,5 @@ def mutual_dependence(kind: str, w: VarSet) -> Formula:
     _check_kind(kind)
     if not w:
         raise ValueError("w must be nonempty")
-    if len(w) == 1:
-        return dep_atom(kind, w, w)
-    return conj_all(dep_atom(kind, z, w - z) for z in proper_subsets(w))
+    return conj_all(split_atoms(kind, w))
 

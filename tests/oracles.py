@@ -2,12 +2,15 @@
 
 These deliberately avoid the production code paths they are checking:
 generativity is decided straight from its defining quantification over
-argument-set covers, or by enumerating every two-way split of the members
-inside the candidate, generative families are recomputed by enumerating
-connected sub-collections of the family, a relation is checked to be a
-bisimulation pair by pair from the definition, the greatest bisimulation is
-recomputed by deleting pairs until every survivor transfers, and formulas are
-evaluated by plain recursion with no memo of box values, reading each
+argument-set covers (``cover_oracle``), by the generativity lemma's search
+for an evidence of every two-block split of the candidate (``lemma_oracle``),
+by a breadth-first search of the intersection graph of the members inside
+the candidate (``graph_oracle``), or by enumerating every two-way split of
+those members (``split_partition_oracle``), generative families are
+recomputed by enumerating connected sub-collections of the family, a
+relation is checked to be a bisimulation pair by pair from the definition,
+the greatest bisimulation is recomputed by deleting pairs until every
+survivor transfers, and formulas are evaluated by plain recursion with no memo of box values, reading each
 world's cells off the public partitions.  Difference sets and the agreement
 conditions of the dependency clauses are read pair by pair from the model's
 assignment.  ``pair_search_oracle`` answers a dependency atom by testing
@@ -59,6 +62,25 @@ def cover_oracle(p: EvidenceFamily, w: frozenset) -> bool:
         if not any(is_evidence(m, x, y) for m in members):
             return False
     return True
+
+
+def lemma_oracle(p: EvidenceFamily, w: frozenset) -> bool:
+    """Generativity by the lemma: a singleton must be a member; a larger set
+    needs, for each split into a nonempty proper subset z and the rest, a
+    member that is an evidence of (z, w - z)."""
+    if len(w) == 1:
+        return w in p
+    names = sorted(w)
+    return all(any(is_evidence(m, frozenset(z), w - frozenset(z)) for m in p)
+               for size in range(1, len(names))
+               for z in itertools.combinations(names, size))
+
+
+def graph_oracle(p: EvidenceFamily, w: frozenset) -> bool:
+    """Generativity by connectivity: the members inside ``w`` cover it, and
+    their intersection graph is connected."""
+    sig = [m for m in p if m <= w]
+    return frozenset().union(*sig) == w and _connected(sig)
 
 
 def split_partition_oracle(sig) -> bool:

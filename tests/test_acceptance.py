@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and
 timings as they complete.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -13,16 +14,17 @@ from dataclasses import replace
 from depmodal import fixtures, semantics
 from depmodal.bisim import find_distinguishing_formula, greatest_bisimulation
 from depmodal.cli import main
-from depmodal.dependency import (METHODS, dep_holds_by_evidence,
-                                 generative_family, is_generative, p_family)
+from depmodal.dependency import (dep_holds_by_evidence, generative_family,
+                                 is_generative, p_family)
 from depmodal.harness import GenParams, random_model, soundness_suite, ROUTE_CHECK
 from depmodal.model import load_model
 from depmodal.semantics import evaluate
 from depmodal.syntax import (GLOBAL, LOCAL, DepL, dep_atom, modal_depth,
-                             parse_formula)
+                             parse_formula, render_formula)
 
-from oracles import (are_bisimilar, cover_oracle, differs_on,
-                     pair_deletion_oracle, random_family, recursive_eval_oracle)
+from oracles import (are_bisimilar, cover_oracle, differs_on, graph_oracle,
+                     lemma_oracle, pair_deletion_oracle, random_family,
+                     recursive_eval_oracle)
 
 
 @contextmanager
@@ -129,9 +131,10 @@ def test_criterion_4_generative_machinery():
             for size in range(1, len(pool) + 1):
                 for combo in itertools.combinations(pool, size):
                     w = frozenset(combo)
-                    verdicts = [is_generative(p, w, method) for method in METHODS]
                     oracle = cover_oracle(p, w)
-                    assert verdicts == [oracle] * len(METHODS), (p, w)
+                    verdicts = [is_generative(p, w), lemma_oracle(p, w),
+                                graph_oracle(p, w)]
+                    assert verdicts == [oracle] * 3, (p, w)
                     if oracle and w <= p.support:
                         generative.add(w)
             assert generative_family(p) == frozenset(generative)
@@ -153,20 +156,27 @@ def _relabeled(m, tag):
     return load_model(doc)
 
 
-def test_criterion_5_finite_hennessy_milner():
+def _pointed_pairs():
+    """Criterion 5's 200 seeded pairs of pointed models ``(i, m1, w1, m2,
+    w2)``: odd ``i`` pairs a model with a relabeled copy of itself."""
     params = GenParams(min_worlds=1, max_worlds=5, num_props=1,
                        num_named=3, num_hidden=1, max_value=3)
     rng = random.Random(77)
+    for i in range(200):
+        m1 = random_model(replace(params, seed=i))
+        if i % 2:
+            m2 = _relabeled(m1, "_c")
+        else:
+            m2 = random_model(replace(params, seed=10_000 + i))
+        w1 = rng.choice(m1.worlds)
+        w2 = (w1 + "_c") if i % 2 else rng.choice(m2.worlds)
+        yield i, m1, w1, m2, w2
+
+
+def test_criterion_5_finite_hennessy_milner():
     with criterion(5, "finite-hennessy-milner", 120.0):
         verdicts = set()
-        for i in range(200):
-            m1 = random_model(replace(params, seed=i))
-            if i % 2:
-                m2 = _relabeled(m1, "_c")
-            else:
-                m2 = random_model(replace(params, seed=10_000 + i))
-            w1 = rng.choice(m1.worlds)
-            w2 = (w1 + "_c") if i % 2 else rng.choice(m2.worlds)
+        for i, m1, w1, m2, w2 in _pointed_pairs():
             depth = len(m1.worlds) * len(m2.worlds)
             bisimilar = are_bisimilar(m1, w1, m2, w2)
             formula = find_distinguishing_formula(m1, w1, m2, w2)
@@ -193,6 +203,18 @@ def test_criterion_5_finite_hennessy_milner():
                 if x and y:
                     atom = dep_atom(GLOBAL, x, y)
                     assert evaluate(m, "a", atom) == evaluate(m, "b", atom)
+
+
+def test_distinguishing_formulas_are_pinned():
+    # the rendered formulas of criterion 5's pairs, "-" for a bisimilar pair;
+    # the atom that separates two points at level 0 is the first one found,
+    # so any change to the order of a block's split atoms shows here
+    h = hashlib.sha256()
+    for _, m1, w1, m2, w2 in _pointed_pairs():
+        f = find_distinguishing_formula(m1, w1, m2, w2)
+        h.update(("-" if f is None else render_formula(f)).encode() + b"\n")
+    assert h.hexdigest() == (
+        "120ecccd48978343a044218307c90e7f0478bfb252f0f7ff18aa54b7d45c8aa5")
 
 
 # ---------------------------------------------------------------------------

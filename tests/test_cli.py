@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, output shapes, and fixture replay."""
 
 import contextlib
+import itertools
 import json
 import subprocess
 import sys
@@ -8,13 +9,14 @@ import threading
 
 import pytest
 
+from depmodal import dependency
 from depmodal.cli import main
 from depmodal.dependency import p_family
 from depmodal.fixtures import (FIXTURES, fixture_claims, fixture_names,
                                fixture_path, load_fixture)
 from depmodal.syntax import parse_formula
 
-from oracles import connected_union_oracle
+from oracles import connected_union_oracle, cover_oracle
 
 
 def run(capsys, *argv):
@@ -44,6 +46,22 @@ def unit_vector_model(tmp_path, k) -> str:
     path.write_text(json.dumps({
         "propositions": [], "variables": [{"name": x, "hidden": False} for x in names],
         "worlds": [{"id": w, "props": {}, "vals": {x: int(i == j) for j, x in enumerate(names)}}
+                   for i, w in enumerate(ws)],
+        "epistemic_partition": [ws], "nomic_partition": [ws]}))
+    return str(path)
+
+
+def chain_model(tmp_path, k) -> str:
+    """A model file of k + 1 worlds and k named variables in one epistemic
+    and one nomic class, where world ``wi`` has ``xj = 1`` exactly for
+    ``j < i``.  Its global family is every run ``{xa, ..., xb}`` of
+    consecutive variables, the full set included."""
+    names = [f"x{j}" for j in range(k)]
+    ws = [f"w{i}" for i in range(k + 1)]
+    path = tmp_path / f"chain{k}.edl"
+    path.write_text(json.dumps({
+        "propositions": [], "variables": [{"name": x, "hidden": False} for x in names],
+        "worlds": [{"id": w, "props": {}, "vals": {x: int(j < i) for j, x in enumerate(names)}}
                    for i, w in enumerate(ws)],
         "epistemic_partition": [ws], "nomic_partition": [ws]}))
     return str(path)
@@ -207,7 +225,7 @@ class TestGenerative:
                            "s", "{bar_a,bar_b,bar_c}", "--kind", "l")
         assert code == 0
         assert "family: {bar_a} {bar_a,bar_b,bar_c}" in out
-        assert "lemma=true partition=true graph=true" in out
+        assert "generative: true\n" in out
 
     def test_json_fields(self, capsys):
         code, out, _ = run(capsys, "generative", fixture_path("dl_strictness_witness"),
@@ -215,13 +233,17 @@ class TestGenerative:
         assert code == 0
         data = json.loads(out)
         assert data["family"] == [["x"], ["y"]]
-        assert data["verdicts"] == {"lemma": False, "partition": False,
-                                    "graph": False}
+        assert data["generative"] is False
+        assert "verdicts" not in data
         assert data["generative_family"] == [["x"], ["y"]]
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_families_match_oracle(self, capsys, name):
+        # the families, and the verdict on every nonempty candidate
         m = load_fixture(name)
+        named = m.named_variables
+        candidates = [frozenset(c) for size in range(1, len(named) + 1)
+                      for c in itertools.combinations(named, size)]
         for w in m.worlds:
             for kind in ("g", "l"):
                 code, out, _ = run(capsys, "generative", fixture_path(name), w,
@@ -230,8 +252,17 @@ class TestGenerative:
                 data = json.loads(out)
                 fam = p_family(m, w, data["kind"])
                 assert data["family"] == sorted(sorted(s) for s in fam)
-                assert data["generative_family"] == sorted(
-                    sorted(s) for s in connected_union_oracle(fam))
+                gen = data["generative_family"]
+                assert gen == sorted(sorted(s) for s in connected_union_oracle(fam))
+                for candidate in candidates:
+                    code, out, _ = run(capsys, "generative", fixture_path(name), w,
+                                       "{" + ",".join(sorted(candidate)) + "}",
+                                       "--kind", kind, "--json")
+                    assert code == 0
+                    verdict = json.loads(out)["generative"]
+                    assert verdict == cover_oracle(fam, candidate), (w, kind, candidate)
+                    if candidate <= fam.support:
+                        assert verdict == (sorted(candidate) in gen)
 
     def test_unit_vector_full_candidate(self, capsys, tmp_path):
         # sigma is all 28 pairs of the 8 variables: the partition route must
@@ -240,13 +271,28 @@ class TestGenerative:
         candidate = "{" + ",".join(f"x{i}" for i in range(8)) + "}"
         code, out, _ = run(capsys, "generative", path, "w0", candidate, "--kind", "g")
         assert code == 0
-        assert "generative: lemma=true partition=true graph=true" in out
+        assert "generative: true\n" in out
         code, out, _ = run(capsys, "generative", path, "w0", candidate, "--kind", "g",
                            "--json")
         assert code == 0
         data = json.loads(out)
         assert len(data["sigma"]) == 28
         assert len(data["generative_family"]) == 2 ** 8 - 8 - 1
+
+    def test_chain_full_candidate_searches_no_splits(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # the candidate is a family member with 2^16 - 2 two-block splits;
+        # deciding it must not look for an evidence of any of them
+        calls = []
+        is_evidence = dependency.is_evidence
+        monkeypatch.setattr(dependency, "is_evidence",
+                            lambda *a: calls.append(a) or is_evidence(*a))
+        path = chain_model(tmp_path, 16)
+        candidate = "{" + ",".join(f"x{j}" for j in range(16)) + "}"
+        code, out, _ = run(capsys, "generative", path, "w0", candidate, "--kind", "g")
+        assert code == 0
+        assert len(calls) == 0
+        assert "generative: true\n" in out
 
     def test_kind_required(self, capsys):
         code, _, _ = run(capsys, "generative", fixture_path("open_door"), "s")

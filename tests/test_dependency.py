@@ -3,14 +3,16 @@ import random
 
 import pytest
 
-from depmodal.dependency import (EvidenceFamily, METHODS,
-                                 dep_holds_by_evidence, family,
+from depmodal.dependency import (EvidenceFamily, dep_holds_by_evidence, family,
                                  generative_family, is_evidence, is_generative,
                                  p_family, sigma)
 from depmodal.syntax import GLOBAL, LOCAL
 
-from oracles import (connected_union_oracle, cover_oracle, random_family,
-                     split_partition_oracle)
+from oracles import (connected_union_oracle, cover_oracle, graph_oracle,
+                     lemma_oracle, random_family, split_partition_oracle)
+
+#: the production decision and the two oracles that decide it by other routes
+DECISIONS = (is_generative, lemma_oracle, graph_oracle)
 
 
 def vs(*names):
@@ -124,21 +126,17 @@ class TestIsGenerative:
         for _ in range(50):
             p = random_family(rng)
             for member in p:
-                for method in METHODS:
-                    assert is_generative(p, member, method)
+                for decide in DECISIONS:
+                    assert decide(p, member), decide.__name__
 
     def test_chain_through_shared_variable(self):
         p = fam({"x", "y"}, {"y", "z"})
-        for method in METHODS:
-            assert is_generative(p, vs("x", "y", "z"), method)
+        for decide in DECISIONS:
+            assert decide(p, vs("x", "y", "z")), decide.__name__
 
     def test_empty_candidate_rejected(self):
         with pytest.raises(ValueError):
             is_generative(family(()), frozenset())
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            is_generative(fam({"x"}), vs("x"), "guess")
 
     def test_methods_and_oracle_agree_on_random_families(self):
         rng = random.Random(99)
@@ -149,9 +147,9 @@ class TestIsGenerative:
             for size in range(1, len(pool) + 1):
                 for combo in itertools.combinations(pool, size):
                     w = frozenset(combo)
-                    verdicts = {m: is_generative(p, w, m) for m in METHODS}
+                    verdicts = {d.__name__: d(p, w) for d in DECISIONS}
+                    verdicts["cover_oracle"] = cover_oracle(p, w)
                     assert len(set(verdicts.values())) == 1, (p, w, verdicts)
-                    assert verdicts["lemma"] == cover_oracle(p, w), (p, w)
 
     def test_partition_route_matches_split_enumeration(self):
         # the enumeration of every two-way split of sigma(p, w) is the
@@ -168,8 +166,8 @@ class TestIsGenerative:
             for w in candidates:
                 sig = sigma(p, w)
                 expected = frozenset().union(*sig) == w and split_partition_oracle(sig)
-                assert is_generative(p, w, "partition") == expected, (p, w)
-                assert is_generative(p, w, "lemma") == expected, (p, w)
+                assert is_generative(p, w) == expected, (p, w)
+                assert lemma_oracle(p, w) == expected, (p, w)
                 verdicts.add(expected)
         assert verdicts == {False, True}
 
@@ -178,8 +176,8 @@ class TestIsGenerative:
         for _ in range(50):
             p = random_family(rng)
             w = p.support | vs("fresh")
-            for method in METHODS:
-                assert not is_generative(p, w, method)
+            for decide in DECISIONS:
+                assert not decide(p, w), decide.__name__
 
 
 class TestGenerativeFamily:
