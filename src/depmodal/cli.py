@@ -4,14 +4,17 @@ Commands take their arguments positionally or through flags (``-m/--model``,
 ``-w/--world``, ``-f/--formula``); the flag form wins when both are given.
 Exit status: 0 for a completed command (a "false" answer is still 0),
 1 when ``examples`` finds a fixture claim that does not hold, 2 for usage
-or malformed input text, 3 for model load/validation errors, 4 for
-evaluation errors such as unknown worlds, undeclared names, hidden variables
-named in a formula or candidate, or a distinguishing formula nested too
-deeply, 5 for an internal error: the two evaluation routes disagree on a
-dependency atom the evaluation asks (the message names the world it was
-asked at), or any other unexpected exception, and 141 (128 + SIGPIPE, as a
-shell reports for a writer whose reader left) when standard output is closed
-before the output is written, with nothing on stderr.
+or malformed input text, a formula nested deeper than ``syntax.MAX_NESTING``
+levels included (so every formula that parses is evaluated and rendered
+within the default recursion limit), 3 for model load/validation errors,
+4 for evaluation errors such as unknown worlds, undeclared names, hidden
+variables named in a formula or candidate, or a distinguishing formula
+nested too deeply, 5 for an internal error: the two evaluation routes
+disagree on a dependency atom the evaluation asks (the message names the
+world it was asked at), or any other unexpected exception, and 141
+(128 + SIGPIPE, as a shell reports for a writer whose reader left) when
+standard output is closed before the output is written, with nothing on
+stderr.
 
 The argument parser is built once per process and reused by every ``main``
 call; argparse keeps no state between ``parse_args`` calls.
@@ -124,11 +127,6 @@ def _require_world(m: KripkeModel, w: str) -> str:
     return w
 
 
-def _too_deep() -> ParseError:
-    # a formula can parse and still exhaust the stack when evaluated or rendered
-    return ParseError("formula nested too deeply", 0)
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, sort_keys=True))
@@ -145,12 +143,8 @@ def cmd_check(args) -> int:
     m = load_model_path(_pick(args.model_pos, args.model_flag, "model path"))
     w = _require_world(m, _pick(args.world_pos, args.world_flag, "world"))
     f = parse_formula(_pick(args.formula_pos, args.formula_flag, "formula"))
-    try:
-        value = evaluate(m, w, f)
-        shown = render_formula(f)
-    except RecursionError:
-        raise _too_deep() from None
-    _emit(args, {"command": "check", "world": w, "formula": shown,
+    value = evaluate(m, w, f)
+    _emit(args, {"command": "check", "world": w, "formula": render_formula(f),
                  "value": value, "routes": {"direct": value, "evidence": value}},
           "true" if value else "false")
     return EXIT_OK
@@ -159,13 +153,10 @@ def cmd_check(args) -> int:
 def cmd_extension(args) -> int:
     m = load_model_path(_pick(args.model_pos, args.model_flag, "model path"))
     f = parse_formula(_pick(args.formula_pos, args.formula_flag, "formula"))
-    try:
-        holding = extension(m, f)
-        sat = [s for s in m.worlds if s in holding]
-        shown = render_formula(f)
-    except RecursionError:
-        raise _too_deep() from None
-    _emit(args, {"command": "extension", "formula": shown, "worlds": sat},
+    holding = extension(m, f)
+    sat = [s for s in m.worlds if s in holding]
+    _emit(args, {"command": "extension", "formula": render_formula(f),
+                 "worlds": sat},
           "\n".join(sat) if sat else "(no worlds)")
     return EXIT_OK
 

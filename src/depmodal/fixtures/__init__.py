@@ -8,8 +8,8 @@ suite asserts them.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from importlib import resources
 
 from ..model import KripkeModel, load_model
 
@@ -71,7 +71,7 @@ def fixture_path(name: str) -> str:
     """Filesystem path of a bundled fixture; the package ships as plain files."""
     filename = (FIXTURES[name][0] if name in FIXTURES
                 else INVALID_FIXTURES[name])
-    return str(resources.files(__package__).joinpath(filename))
+    return os.path.join(os.path.dirname(__file__), filename)
 
 
 def load_fixture(name: str) -> KripkeModel:

@@ -128,8 +128,8 @@ def _eval(m: KripkeModel, s: str, f: Formula, boxes: dict) -> bool:
     CPython 3.11 a ``match`` on class patterns takes 0.4 to 0.9 µs to reach a
     node's case; the chain of ``is`` tests takes about 0.1 µs.  So a node
     class they do not list, a subclass included, is not a formula to them.
-    The box case is inlined so that nesting costs no more stack per level
-    than plain recursion."""
+    The box case is inlined, with a plain loop rather than ``all`` over a
+    generator, so that a box costs one frame per level."""
     t = type(f)
     if t is And:
         return _eval(m, s, f.left, boxes) and _eval(m, s, f.right, boxes)
@@ -146,7 +146,12 @@ def _eval(m: KripkeModel, s: str, f: Formula, boxes: dict) -> bool:
         value = boxes.get(key)
         if value is None:
             g = f.operand
-            value = boxes[key] = all(_eval(m, w, g, boxes) for w in cell)
+            value = True
+            for w in cell:
+                if not _eval(m, w, g, boxes):
+                    value = False
+                    break
+            boxes[key] = value
         return value
     if t is Prop:
         return m.valuation[s][f.name] == 1

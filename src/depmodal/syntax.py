@@ -16,6 +16,9 @@ A bare IDENT in varset position is the singleton shorthand: ``Dg(x;y)`` means
 connectives and the binary ones with their binding strengths, by precedence
 climbing; the renderer reads the prefix table in reverse.
 
+The parser counts nesting levels as it reads and rejects the token that
+opens one level more than ``MAX_NESTING``, whatever the interpreter and stack.
+
 "->", "|" and "bot" are surface syntax only; they desugar at parse time, so
 the core AST has exactly one minimal constructor set and semantic code covers
 one case set.  Formulas are immutable and hashable; sharing across threads is
@@ -39,6 +42,13 @@ KINDS = (GLOBAL, LOCAL)
 
 RESERVED = frozenset({"top", "bot", "K", "A", "Dg", "Dl"})
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# Each prefix operator, binary connective and parenthesised group opens one
+# level around what follows it, so a chain "a & b & c" nests one level per
+# connective.  The deepest walk at the bound, a chain of "|" or "->" or nested
+# parentheses, takes three frames per level, parsed or evaluated: a recursion
+# limit of about 766, so the default of 1000 leaves over 200 for the caller.
+MAX_NESTING = 250
 
 
 class Formula:
@@ -180,6 +190,13 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.at = 0
+        self.depth = 0      # levels open on the current path
+
+    def open_level(self) -> None:
+        """Open one more level at the current token."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("formula nested too deeply", self.tokens[self.at][1])
 
     def fail(self, what: str):
         text, pos = self.tokens[self.at]
@@ -198,30 +215,37 @@ class _Parser:
 
     def formula(self, loosest: int = 1) -> Formula:
         # precedence climbing over the connectives binding at least as tightly
-        # as ``loosest``
+        # as ``loosest``; each connective keeps its level open to the return
+        base = self.depth
         out = self.unary()
         while (op := _BINARY.get(self.tokens[self.at][0])) and op[0] >= loosest:
             strength, nests_right, build = op
+            self.open_level()
             self.at += 1
             out = build(out, self.formula(strength if nests_right else strength + 1))
+        self.depth = base
         return out
 
     def unary(self) -> Formula:
         wraps = []
         while (wrap := _PREFIX.get(self.tokens[self.at][0])) is not None:
+            self.open_level()
             wraps.append(wrap)
             self.at += 1
         out = self.atom()
         for wrap in reversed(wraps):
             out = wrap(out)
+        self.depth -= len(wraps)
         return out
 
     def atom(self) -> Formula:
         text = self.tokens[self.at][0]
         if text == "(":
+            self.open_level()
             self.at += 1
             inner = self.formula()
             self.expect(")")
+            self.depth -= 1
             return inner
         if not text.isidentifier():
             self.fail("a formula")
@@ -271,13 +295,10 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into the core AST (derived connectives desugared).
-    Input nested deeper than the interpreter stack allows is a ParseError at
-    the token where the stack ran out."""
+    Input nested deeper than ``MAX_NESTING`` levels is a ParseError at the
+    token that opens the first level too many."""
     p = _Parser(text)
-    try:
-        out = p.formula()
-    except RecursionError:
-        raise ParseError("formula nested too deeply", p.tokens[p.at][1]) from None
+    out = p.formula()
     p.done()
     return out
 
@@ -299,7 +320,8 @@ _PREFIX_TEXT = {node: text if text == "!" else text + " " for text, node in _PRE
 
 
 def render_formula(f: Formula) -> str:
-    """Concrete syntax for ``f``; ``parse_formula`` round-trips it exactly."""
+    """Concrete syntax for ``f``; ``parse_formula`` round-trips it exactly
+    when the text nests at most ``MAX_NESTING`` levels."""
     return _render_chain(f)
 
 

@@ -14,7 +14,7 @@ from depmodal.cli import main
 from depmodal.dependency import p_family
 from depmodal.fixtures import (FIXTURES, fixture_claims, fixture_names,
                                fixture_path, load_fixture)
-from depmodal.syntax import parse_formula
+from depmodal.syntax import MAX_NESTING, parse_formula
 
 from oracles import connected_union_oracle, cover_oracle
 
@@ -129,27 +129,46 @@ class TestCheck:
                        f"(at position {position})\n")
 
 
-# Past each shape's largest nesting that `check` answers: K 328, ! 985,
-# & 986, | 329, -> 330, parentheses 329 (open_door, fresh stack, default
-# recursion limit; `extension` answers one or two levels less).
 _ATOM = "Dg({bar_p};{bar_r})"
-_TOO_DEEP = {
-    "K": "K " * 340 + _ATOM,
-    "not": "!" * 1000 + _ATOM,
-    "and": " & ".join([_ATOM] * 1000),
-    "or": " | ".join([_ATOM] * 350),
-    "implies": " -> ".join([_ATOM] * 350),
-    "parens": "(" * 350 + _ATOM + ")" * 350,
+
+# shape -> the token that opens each level, and the text nested n levels
+# deep; a chain of n connectives has n + 1 operands
+_NESTED = {
+    "K": ("K", lambda n: "K " * n + _ATOM),
+    "not": ("!", lambda n: "!" * n + _ATOM),
+    "and": ("&", lambda n: " & ".join([_ATOM] * (n + 1))),
+    "or": ("|", lambda n: " | ".join([_ATOM] * (n + 1))),
+    "implies": ("->", lambda n: " -> ".join([_ATOM] * (n + 1))),
+    "parens": ("(", lambda n: "(" * n + _ATOM + ")" * n),
 }
+_TOO_DEEP = {shape: _NESTED[shape][1](n) for shape, n in
+             {"K": 340, "not": 1000, "and": 999, "or": 349, "implies": 349,
+              "parens": 350}.items()}
+
+def run_deeper(capsys, frames, *argv):
+    """``run`` from ``frames`` extra frames down the caller's stack."""
+    if frames:
+        return run_deeper(capsys, frames - 1, *argv)
+    return run(capsys, *argv)
 
 
+def answers(capsys, command, text):
+    """What ``command`` on open_door answers for ``text``, the same on the
+    caller's stack and from 100 frames deeper."""
+    where = ["s"] if command == "check" else []
+    argv = [command, fixture_path("open_door"), *where, text]
+    got = run(capsys, *argv)
+    assert run_deeper(capsys, 100, *argv) == got
+    return got
+
+
+# The parser bounds nesting at MAX_NESTING levels whatever the interpreter
+# and however deep the caller's stack, so these run on the caller's stack.
 class TestDeepFormulas:
     @pytest.mark.parametrize("command", ["check", "extension"])
     @pytest.mark.parametrize("shape", sorted(_TOO_DEEP))
     def test_too_deep_is_syntax_error(self, capsys, command, shape):
-        where = ["s"] if command == "check" else []
-        code, out, err = run_on_fresh_stack(capsys, command, fixture_path("open_door"),
-                                            *where, _TOO_DEEP[shape])
+        code, out, err = answers(capsys, command, _TOO_DEEP[shape])
         assert code == 2
         assert out == ""
         assert err.startswith("syntax error: formula nested too deeply (at position ")
@@ -162,10 +181,30 @@ class TestDeepFormulas:
         "(" * 210 + _ATOM + ")" * 210,
     ], ids=["K250", "or160", "or175", "implies210", "parens210"])
     def test_deep_but_answerable(self, capsys, text):
-        code, out, _ = run_on_fresh_stack(capsys, "check", fixture_path("open_door"),
-                                          "s", text)
-        assert code == 0
-        assert out == "true\n"
+        assert answers(capsys, "check", text) == (0, "true\n", "")
+
+    @pytest.mark.parametrize("command", ["check", "extension"])
+    @pytest.mark.parametrize("shape", sorted(_NESTED))
+    def test_deepest_nesting_answers_as_shallow_one(self, capsys, command, shape):
+        # MAX_NESTING is even, and each shape nested an even number of
+        # levels is equivalent to the same shape nested two levels
+        text = _NESTED[shape][1]
+        assert MAX_NESTING % 2 == 0
+        got = answers(capsys, command, text(MAX_NESTING))
+        assert got[0] == 0
+        assert got == answers(capsys, command, text(2))
+
+    @pytest.mark.parametrize("command", ["check", "extension"])
+    @pytest.mark.parametrize("shape", sorted(_NESTED))
+    def test_one_level_more_is_rejected_where_it_opens(self, capsys, command, shape):
+        token, text = _NESTED[shape]
+        text = text(MAX_NESTING + 1)
+        # the first MAX_NESTING + 1 occurrences of the token open the levels
+        at = -1
+        for _ in range(MAX_NESTING + 1):
+            at = text.index(token, at + 1)
+        assert answers(capsys, command, text) == (
+            2, "", f"syntax error: formula nested too deeply (at position {at})\n")
 
 
 # ---------------------------------------------------------------------------

@@ -569,11 +569,13 @@ def test_nested_boxes_ask_each_atom_once_per_world(monkeypatch):
 
 
 def test_box_memo_adds_no_stack_per_nesting_level(open_door):
-    # plain recursion evaluates about 320 nested boxes under the default
-    # recursion limit; the memo must not lower that
-    # both entry points ask both routes at the atom; the recursive oracle
-    # may not reach this depth, so they are compared with each other
-    f = parse_formula("K " * 250 + "Dg({bar_p};{bar_r})")
+    # a box costs one frame per level, so 600 built boxes fit under the
+    # default recursion limit on the caller's stack; both entry points ask
+    # both routes at the atom; the recursive oracle may not reach this
+    # depth, so they are compared with each other
+    f = DepG(vs("bar_p"), vs("bar_r"))
+    for _ in range(600):
+        f = Know(f)
     assert evaluate(open_door, "s", f) == ("s" in extension(open_door, f))
 
 

@@ -94,6 +94,16 @@ def test_command_imports_only_what_it_runs(package_env, argv, loaded):
     assert {HARNESS, BISIM} & set(modules) == loaded
 
 
+def test_cli_import_loads_no_resource_reader(package_env):
+    # without ``site``, which may preload them, so only the package's own
+    # imports count
+    script = "import json, sys; import depmodal.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=package_env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert not {"importlib.resources", "pathlib"} & set(json.loads(proc.stdout))
+
+
 def test_public_names_resolve_after_plain_import(package_env):
     before, same, stored, submodules = _fresh(package_env, IMPORT)
     assert not {HARNESS, BISIM} & set(before)
